@@ -16,10 +16,9 @@ Two acceptance gates for the epoch-synchronous contention engine:
    persistent directory (CI uploads it with the sweep-results
    artifact).
 
-A third gate covers the new engine tiers (``epochs-par``,
-``epochs-jit``): both must reproduce the epoch engine bit-exactly on
-every gate case, and the *best* new tier must beat ``epochs`` by at
-least 1.5x -- but only when numba is importable.  Without numba the
+A third gate covers the JIT grant kernel (``epochs-jit``): it must
+reproduce the epoch engine bit-exactly on every gate case and beat
+``epochs`` by at least 1.5x -- but only when numba is importable.  Without numba the
 JIT kernel runs interpreted (orders of magnitude slower -- that is the
 supported fallback, not a regression), so the tier ratio is recorded
 and printed but the floor stays disarmed; the run doubles as the
@@ -60,7 +59,7 @@ from repro.eval.sweeps import SweepCase, case_topology
 from repro.net.grantkernel import NUMBA_AVAILABLE, warmup_kernels
 from repro.net.simulator import simulate
 
-NEW_TIERS = ("epochs-par", "epochs-jit")
+NEW_TIERS = ("epochs-jit",)
 
 #: (arch, num_chiplets, workload) cases for the timed speedup gate --
 #: large systems near saturation, where virtually every packet shares a
@@ -115,8 +114,7 @@ def _assert_reports_identical(events, epochs, label):
 def _run_gate():
     rows = []
     tier_rows = []
-    totals = {"events": 0.0, "epochs": 0.0,
-              "epochs-par": 0.0, "epochs-jit": 0.0}
+    totals = {"events": 0.0, "epochs": 0.0, "epochs-jit": 0.0}
     warmup_kernels()
     for arch, size, workload in _gate_cases():
         case = SweepCase(arch=arch, num_chiplets=size, workload=workload)
@@ -156,8 +154,7 @@ def _run_gate():
         ))
         best = min(timed[t] for t in NEW_TIERS)
         tier_rows.append((
-            label, timed["epochs"], timed["epochs-par"],
-            timed["epochs-jit"],
+            label, timed["epochs"], timed["epochs-jit"],
             timed["epochs"] / max(best, 1e-12),
         ))
     return rows, tier_rows, totals
@@ -186,9 +183,9 @@ def test_load_sweep(benchmark):
     print()
     print(table)
     print(format_table(
-        ["case", "epochs (s)", "par (s)", "jit (s)", "tier speedup"],
+        ["case", "epochs (s)", "jit (s)", "tier speedup"],
         tier_rows,
-        title="Engine-tier gate: epochs vs component-parallel / JIT "
+        title="Engine-tier gate: epochs vs JIT "
               f"(numba {'present' if NUMBA_AVAILABLE else 'absent'})",
     ))
     latency = outcome.pivot("steady_mean_latency")
@@ -251,7 +248,7 @@ def test_load_sweep(benchmark):
     )
     if NUMBA_AVAILABLE:
         assert tier_speedup >= tier_floor, (
-            f"best new tier ({best_tier}) only {tier_speedup:.2f}x "
+            f"fast tier ({best_tier}) only {tier_speedup:.2f}x "
             f"faster than the epoch engine (floor {tier_floor}x)"
         )
     else:

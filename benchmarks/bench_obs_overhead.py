@@ -66,7 +66,7 @@ from repro.net.journey import latency_breakdown
 from repro.net.simulator import simulate, simulate_packets
 from repro.obs import REGISTRY
 
-ENGINES = ("events", "epochs", "epochs-par", "epochs-jit")
+ENGINES = ("events", "epochs", "epochs-jit")
 #: Disabled-path overhead ceiling: instrumented <= 1.03x bare.
 OVERHEAD_CEILING = 1.03
 REPEATS = 5

@@ -7,13 +7,13 @@ Three evaluation layers share one routing substrate:
   precomputed :mod:`repro.net.routing` tables -- the hot path,
 * the packet simulator (:mod:`repro.net.simulator`) with its own
   engine split: closed-form fast path, event-heap oracle, the
-  epoch-synchronous vectorized contention engine, component-parallel
-  epoch resolution (``epochs-par``) and the optionally-compiled grant
-  kernel (:mod:`repro.net.grantkernel`, ``epochs-jit``), plus the
-  closed-loop flow-control subsystem (:mod:`repro.net.flowcontrol`):
-  finite per-link buffers with credit backpressure, per-source
-  injection queues and per-link telemetry.  Every tier is pinned
-  bit-exactly to the event-heap oracle.
+  epoch-synchronous vectorized contention engine (open loop) and the
+  optionally-compiled grant kernel (:mod:`repro.net.grantkernel`,
+  ``epochs-jit``), plus the closed-loop flow-control subsystem
+  (:mod:`repro.net.flowcontrol`): finite per-link buffers with credit
+  backpressure, per-source injection queues and per-link telemetry.
+  Every engine is pinned bit-exactly to the event-heap oracle of its
+  flow-control regime.
 """
 
 from .analytic import (
@@ -51,7 +51,6 @@ from .routing import (
     RoutingTables,
     build_link_queue_index,
     build_routing_tables,
-    contention_components,
 )
 from .simulator import (
     ENGINES,
@@ -95,7 +94,6 @@ __all__ = [
     "attribute_task",
     "build_link_queue_index",
     "build_routing_tables",
-    "contention_components",
     "latency_breakdown",
     "link_telemetry",
     "communication_cost",

@@ -18,7 +18,8 @@ curves diverge unboundedly.  This module adds the closed loop:
   starts serialising.
 
 Per the repo's oracle pattern the semantics are implemented twice and
-pinned bit-exactly to each other (``tests/test_flowcontrol.py``):
+pinned bit-exactly to each other (``tests/test_flowcontrol.py``,
+``tests/test_grantkernel.py``):
 
 * :func:`simulate_fc_events` -- an event-heap oracle.  Credit returns
   are first-class heap events; FIFO per link follows (event cycle,
@@ -26,25 +27,14 @@ pinned bit-exactly to each other (``tests/test_flowcontrol.py``):
   open-loop engines break same-cycle ties by event *push* order
   instead; with flow control inactive the open-loop engines run
   untouched, so pre-flow-control results are bit-stable.)
-* :func:`simulate_fc_epochs` -- the vectorized epoch-synchronous
-  engine.  Credit counters ride as per-link arrays inside the same
-  segmented-scan grant loop the open-loop epoch engine uses; each
-  epoch finalises the provably-safe prefix of every link's FIFO queue.
+* the closed-loop grant kernel in :mod:`repro.net.grantkernel`
+  (``engine="epochs-jit"``) -- the same event loop over flat arrays,
+  compiled with numba when it is importable.
 
-  Safety argument: let ``b_e`` be the FIFO bound of link ``e``'s head
-  request (ready vs. link busy time) and ``c_e`` its credit bound under
-  the currently *known* release schedule.  Every future grant starts at
-  or after ``T = min over heads of max(b_e, c_e)`` (the least fixed
-  point of ``T = min_e max(b_e, min(c_e, T + credit_rtt))``), so every
-  not-yet-scheduled credit release lands at or after ``T + credit_rtt``
-  and every not-yet-generated request event at or after ``T + guard``
-  (``guard >= 1``).  A queue-prefix grant whose event cycle and credit
-  bound fall below those horizons can never be invalidated, which makes
-  the epoch engine event-loop exact, including FIFO tie-breaks.
-  ``T`` diverging to infinity means every head waits on credits no
-  possible release covers: a genuine credit deadlock, raised as
-  :class:`FlowControlDeadlockError` by both engines (store-and-forward
-  networks with cyclic routes *can* deadlock under tiny buffers).
+Both engines raise :class:`FlowControlDeadlockError` when every
+remaining request waits on credits no possible release covers: a
+genuine credit deadlock (store-and-forward networks with cyclic routes
+*can* deadlock under tiny buffers).
 
 Both engines record a :class:`GrantTrace` (one row per link grant);
 :func:`link_telemetry` folds a trace into the order-invariant
@@ -69,13 +59,7 @@ __all__ = [
     "LinkTelemetry",
     "link_telemetry",
     "simulate_fc_events",
-    "simulate_fc_epochs",
 ]
-
-#: Sentinels for "no known release satisfies this deficit" (huge) and
-#: "no credit constraint at all" (tiny); both comfortably inside int64.
-_INF = np.int64(2 ** 62)
-_NEG = np.int64(-(2 ** 62))
 
 
 @dataclass(frozen=True)
@@ -92,8 +76,7 @@ class FlowControlParams:
         source_queue: Maximum packets per source waiting to start their
             first link; ``None`` = unbounded (open-loop injection).
         credit_rtt: Cycles for a freed credit to travel back upstream.
-            At least 1 -- a credit cannot act in the cycle it is freed,
-            which is also what bounds the epoch engine's safe horizon.
+            At least 1 -- a credit cannot act in the cycle it is freed.
     """
 
     buffer_flits: Optional[int] = None
@@ -366,11 +349,12 @@ def simulate_fc_events(
 ) -> Optional[GrantTrace]:
     """Event-heap oracle for closed-loop flow control, in place.
 
-    The exact reference: :func:`simulate_fc_epochs` is pinned to this
-    bit-for-bit.  Heap keys are ``(cycle, kind, ...)`` with credit
-    releases (kind 0) processed before requests (kind 1) on the same
-    cycle, and request ties broken by global packet id -- the FIFO
-    discipline both engines implement.
+    The exact reference: the closed-loop grant kernel
+    (:mod:`repro.net.grantkernel`) is pinned to this bit-for-bit.  Heap
+    keys are ``(cycle, kind, ...)`` with credit releases (kind 0)
+    processed before requests (kind 1) on the same cycle, and request
+    ties broken by global packet id -- the FIFO discipline both engines
+    implement.
     """
     route_links = tables.route_links
     stage = tables.stage_cycles
@@ -456,291 +440,3 @@ def simulate_fc_events(
     return _trace_from_chunks([tuple(np.array(col, dtype=np.int64)
                                      for col in zip(*rows))]
                               if rows else [])
-
-
-# ---------------------------------------------------------------------------
-# epoch-synchronous vectorized engine
-
-
-def _credit_ready_times(
-    e_s: np.ndarray,
-    deficit: np.ndarray,
-    rel_link: np.ndarray,
-    rel_time: np.ndarray,
-    rel_amt: np.ndarray,
-) -> np.ndarray:
-    """Earliest cycle the known release schedule covers each deficit.
-
-    ``_NEG`` where no credits are needed (deficit <= 0), ``_INF`` where
-    no known release ever covers the deficit.  Releases are consulted
-    per link in time order; amounts accumulate.
-    """
-    c = np.full(e_s.shape[0], _NEG, dtype=np.int64)
-    needy = deficit > 0
-    if not needy.any():
-        return c
-    c[needy] = _INF
-    if rel_time.size == 0:
-        return c
-    # Releases sorted by (link, time); within-link cumulative amounts
-    # lifted onto disjoint per-link key bands so one global searchsorted
-    # answers "first release where this link's cumulative covers the
-    # deficit" for every request at once.  A deficit beyond the band
-    # (or landing in another link's band) is uncovered -> _INF.
-    order = np.lexsort((rel_time, rel_link))
-    rl, rt, ra = rel_link[order], rel_time[order], rel_amt[order]
-    head = np.empty(rl.shape[0], dtype=bool)
-    head[0] = True
-    head[1:] = rl[1:] != rl[:-1]
-    cum = np.cumsum(ra)
-    block_first = np.flatnonzero(head)[np.cumsum(head) - 1]
-    cum_in = cum - (cum[block_first] - ra[block_first])
-    band = int(cum_in.max()) + 1
-    keys = rl * band + cum_in
-    query = e_s[needy] * band + deficit[needy]
-    pos = np.searchsorted(keys, query, side="left")
-    covered = pos < keys.shape[0]
-    covered[covered] &= rl[pos[covered]] == e_s[needy][covered]
-    times = np.full(query.shape[0], _INF, dtype=np.int64)
-    times[covered] = rt[pos[covered]]
-    c[needy] = times
-    return c
-
-
-def simulate_fc_epochs(
-    tables,
-    fc: FlowControlParams,
-    inject: np.ndarray,
-    src: np.ndarray,
-    flits: np.ndarray,
-    starts: np.ndarray,
-    hops: np.ndarray,
-    contended_ids: np.ndarray,
-    completion: np.ndarray,
-    latencies: np.ndarray,
-    collect_trace: bool = False,
-) -> Tuple[int, Optional[GrantTrace]]:
-    """Vectorized epoch-synchronous closed-loop engine, in place.
-
-    Per epoch: sort every pending request by ``(link, cycle, packet)``,
-    grant each link's FIFO queue with one segmented max-plus scan whose
-    per-request lower bound folds in the credit-availability time from
-    the known release schedule, then finalise the provably-safe prefix
-    (see the module docstring for the horizon argument).  Returns the
-    epoch count and, when requested, the grant trace.
-    """
-    from .simulator import _segmented_cummax
-
-    ids = contended_ids
-    m = int(ids.size)
-    trace_chunks: Optional[list] = [] if collect_trace else None
-    if m == 0:
-        return 0, (GrantTrace.empty() if collect_trace else None)
-
-    route_links = tables.route_links
-    queue_index = tables.queue_index()
-    hop_delta = queue_index.hop_delta
-    inject_stage = tables.stage_cycles[tables.link_u]
-    capacity = queue_index.buffer_capacity_flits(fc)
-    finite = capacity is not None
-    rtt = int(fc.credit_rtt)
-    source_queue = fc.source_queue
-    num_links = tables.num_directed_links
-
-    gid = ids.astype(np.int64)
-    inj = inject[ids].astype(np.int64)
-    t = inj.copy()
-    hop = np.zeros(m, dtype=np.int64)
-    nhops = hops[ids].astype(np.int64)
-    pflits = flits[ids].astype(np.int64)
-    pstart = starts[ids].astype(np.int64)
-
-    pending = np.ones(m, dtype=bool)
-    succ = np.full(m, -1, dtype=np.int64)
-    withheld = 0
-    if source_queue is not None:
-        src_c = src[ids].astype(np.int64)
-        order = np.lexsort((gid, inj, src_c))
-        so = src_c[order]
-        if m > source_queue:
-            k = np.arange(m - source_queue)
-            same = so[k + source_queue] == so[k]
-            succ[order[k[same]]] = order[k + source_queue][same]
-        newseg = np.empty(m, dtype=bool)
-        newseg[0] = True
-        newseg[1:] = so[1:] != so[:-1]
-        seg_start = np.flatnonzero(newseg)
-        pos = np.arange(m) - seg_start[np.cumsum(newseg) - 1]
-        held = order[pos >= source_queue]
-        pending[held] = False
-        withheld = int(held.size)
-
-    link_free = np.zeros(num_links, dtype=np.int64)
-    consumed = np.zeros(num_links, dtype=np.int64)
-    base_rel = np.zeros(num_links, dtype=np.int64)
-    rel_time = np.empty(0, dtype=np.int64)
-    rel_link = np.empty(0, dtype=np.int64)
-    rel_amt = np.empty(0, dtype=np.int64)
-
-    guard_hop = int(pflits.min()) + int(queue_index.min_hop_delta)
-    remaining = m
-    epochs = 0
-
-    # Working-set horizon: each epoch touches only requests within
-    # ``span`` cycles of the earliest pending one (the sort is the
-    # per-epoch cost).  Excluded requests fold into the safety bound as
-    # the candidate ``base + span + 1`` -- strictly more conservative,
-    # so exactness is untouched; the span doubles whenever an epoch
-    # cannot finalise anything (the binding head was outside) and
-    # resets after progress.
-    span_floor = 16 * (guard_hop + rtt)
-    span = span_floor
-
-    while remaining:
-        pend_idx = np.flatnonzero(pending)
-        if pend_idx.size == 0:
-            raise RuntimeError(
-                f"flow-control epoch engine: no pending requests with "
-                f"{remaining} packets unfinished"
-            )
-        t_pend = t[pend_idx]
-        base = int(t_pend.min())
-        truncated = False
-        act = pend_idx
-        if pend_idx.size > 64:
-            near = t_pend <= base + span
-            if not near.all():
-                act = pend_idx[near]
-                truncated = True
-        epochs += 1
-        hop_a = hop[act]
-        link_a = route_links[pstart[act] + hop_a]
-        order = np.lexsort((gid[act], t[act], link_a))
-        slot = act[order]
-        e_s = link_a[order]
-        t_s = t[act][order]
-        h_s = hop_a[order]
-        f_s = pflits[slot]
-        n = int(slot.size)
-        ready = t_s + np.where(h_s == 0, inject_stage[e_s], 0)
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        head[1:] = e_s[1:] != e_s[:-1]
-        head_pos = np.flatnonzero(head)
-        seg_id = np.cumsum(head) - 1
-        seg_first = head_pos[seg_id]
-        clamped = ready.copy()
-        clamped[head] = np.maximum(clamped[head], link_free[e_s[head]])
-        incl_global = np.cumsum(f_s)
-        incl = incl_global - (incl_global[seg_first] - f_s[seg_first])
-        excl = incl - f_s
-        if finite:
-            deficit = consumed[e_s] + incl - capacity[e_s] - base_rel[e_s]
-            c = _credit_ready_times(e_s, deficit, rel_link, rel_time,
-                                    rel_amt)
-        else:
-            c = np.full(n, _NEG, dtype=np.int64)
-
-        # Safe horizon: every future grant starts at or after T, so
-        # unknown releases land at T + rtt or later and unknown request
-        # events at T + guard or later (see module docstring).
-        T = int(np.maximum(clamped[head], c[head]).min())
-        if truncated:
-            T = min(T, base + span + 1)
-        if T >= int(_INF) // 2:
-            links = np.unique(e_s)
-            raise FlowControlDeadlockError(fc, remaining, links)
-
-        c_scan = np.minimum(c, T + rtt + 1)
-        grant_floor = np.maximum(clamped, c_scan)
-        s = excl + _segmented_cummax(grant_floor - excl, seg_id)
-        fifo_bound = clamped.copy()
-        nonhead = np.flatnonzero(~head)
-        if nonhead.size:
-            fifo_bound[nonhead] = np.maximum(
-                clamped[nonhead], s[nonhead - 1] + f_s[nonhead - 1]
-            )
-        guard = 1 if withheld else guard_hop
-        ok = t_s < T + guard
-        if finite:
-            ok &= (c <= fifo_bound) | (c <= T + rtt)
-        pos_in_seg = np.arange(n) - seg_first
-        first_bad = np.minimum.reduceat(
-            np.where(ok, n + 1, pos_in_seg), head_pos
-        )
-        fin = pos_in_seg < first_bad[seg_id]
-        if not fin.any():
-            if truncated:
-                span *= 2
-                continue
-            if finite:
-                raise FlowControlDeadlockError(fc, remaining,
-                                               np.unique(e_s))
-            raise RuntimeError(
-                "flow-control epoch engine made no progress"
-            )
-        span = span_floor
-
-        fin_slot = slot[fin]
-        fin_s = s[fin]
-        fin_e = e_s[fin]
-        fin_f = f_s[fin]
-        fin_h = h_s[fin]
-        if trace_chunks is not None:
-            trace_chunks.append((
-                gid[fin_slot], fin_h, fin_e, ready[fin], fin_s, fin_f,
-                fin_s - fifo_bound[fin],
-            ))
-        seg_len = np.diff(np.append(head_pos, n))
-        n_fin = np.minimum(first_bad, seg_len)
-        with_grants = np.flatnonzero(n_fin > 0)
-        tail = head_pos[with_grants] + n_fin[with_grants] - 1
-        link_free[e_s[tail]] = s[tail] + f_s[tail]
-        if finite:
-            consumed[e_s[tail]] += incl[tail]
-
-        arrival = fin_s + fin_f + hop_delta[fin_e]
-        last = fin_h + 1 == nhops[fin_slot]
-        done_slot = fin_slot[last]
-        if done_slot.size:
-            done_gid = ids[done_slot]
-            completion[done_gid] = arrival[last]
-            latencies[done_gid] = arrival[last] - inject[done_gid]
-            pending[done_slot] = False
-            remaining -= int(done_slot.size)
-        move = fin_slot[~last]
-        t[move] = arrival[~last]
-        hop[move] = fin_h[~last] + 1
-
-        if finite:
-            up = fin_h >= 1
-            new_t = [fin_s[up] + rtt, arrival[last] + rtt]
-            new_l = [route_links[pstart[fin_slot[up]] + fin_h[up] - 1],
-                     fin_e[last]]
-            new_a = [fin_f[up], fin_f[last]]
-            rel_time = np.concatenate([rel_time] + new_t)
-            rel_link = np.concatenate([rel_link] + new_l)
-            rel_amt = np.concatenate([rel_amt] + new_a)
-
-        if source_queue is not None:
-            gates = succ[fin_slot[fin_h == 0]]
-            spawned = gates[gates >= 0]
-            if spawned.size:
-                opener = fin_s[fin_h == 0][gates >= 0]
-                t[spawned] = np.maximum(inj[spawned], opener + 1)
-                pending[spawned] = True
-                withheld -= int(spawned.size)
-
-        if finite and rel_time.size and remaining:
-            if pending.any():
-                fold = rel_time <= int(t[pending].min())
-                if fold.any():
-                    np.add.at(base_rel, rel_link[fold], rel_amt[fold])
-                    keep = ~fold
-                    rel_time = rel_time[keep]
-                    rel_link = rel_link[keep]
-                    rel_amt = rel_amt[keep]
-
-    if trace_chunks is None:
-        return epochs, None
-    return epochs, _trace_from_chunks(trace_chunks)

@@ -1,20 +1,20 @@
 """JIT grant kernel: the contended-subset event loop as one compiled pass.
 
-The epoch-synchronous engines in :mod:`repro.net.simulator` /
-:mod:`repro.net.flowcontrol` beat the Python event heap by batching work
-into NumPy array epochs, but every epoch still pays Python-level
-dispatch (lexsorts, masks, bookkeeping).  This module removes that
-constant entirely: the per-link FIFO grant + credit-release loop --
-exactly the algorithm of the event-heap oracles -- implemented over
-flat int64 arrays in a numba-compilable subset of Python.
+The open-loop epoch engine in :mod:`repro.net.simulator` beats the
+Python event heap by batching work into NumPy array epochs, but every
+epoch still pays Python-level dispatch (lexsorts, masks, bookkeeping).
+This module removes that constant entirely: the per-link FIFO grant +
+credit-release loop -- exactly the algorithm of the event-heap oracles
+-- implemented over flat int64 arrays in a numba-compilable subset of
+Python.  It is the only fast path under closed-loop flow control.
 
 * **numba present** -- the kernels compile with ``@njit(cache=True,
   nogil=True)`` and the whole contended subset resolves in one
   compiled call (``engine="epochs-jit"``, preferred by
-  ``engine="auto"``).
+  ``engine="auto"`` in both regimes).
 * **numba absent** -- the *same functions* run interpreted.  They are
   then no faster than the oracle, so ``engine="auto"`` never picks the
-  tier, but an explicit ``engine="epochs-jit"`` still works and is
+  kernel, but an explicit ``engine="epochs-jit"`` still works and is
   bit-exact: the fallback path is a first-class, testable code path,
   not a stub (``NUMBA_AVAILABLE`` tells the dispatcher which case it
   is in).
@@ -24,9 +24,10 @@ Bit-exactness is by construction: the open-loop kernel replicates
 closed-loop kernel replicates ``simulate_fc_events`` (heap keyed
 ``(cycle, kind, id)``, releases before requests on ties, per-link FIFO
 deques with head-of-line credit checks) -- pinned in
-``tests/test_grantkernel.py`` against both the heap oracles and the
-epoch engines, including FIFO tie-breaking, every ``LinkTelemetry``
-counter, and credit-deadlock reports.
+``tests/test_grantkernel.py`` and ``tests/test_engine_fuzz.py`` against
+both heap oracles and the open-loop epoch engine, including FIFO
+tie-breaking, every ``LinkTelemetry`` counter, and credit-deadlock
+reports.
 """
 
 from __future__ import annotations

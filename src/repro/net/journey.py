@@ -26,9 +26,9 @@ packet's latency:
 
 The reduction is order-invariant: rows are put into canonical
 ``(packet, hop)`` order first and every aggregation is a segment sum in
-exact int64, so all five tiers (events / epochs / epochs-par /
-epochs-jit / fast path) produce **bit-identical** breakdowns from their
-differently-ordered traces (``tests/test_journey.py``).
+exact int64, so every engine (events / epochs / epochs-jit, plus the
+contention-free fast path) produces **bit-identical** breakdowns from
+its differently-ordered traces (``tests/test_journey.py``).
 
 Entry points:
 
@@ -121,7 +121,7 @@ class LatencyBreakdown:
     Per-packet arrays are ``(P,)`` in packetisation order and sum
     (across the five components) exactly to ``latency``; per-link
     arrays are ``(L,)`` over the topology's directed links.  Built by
-    :func:`latency_breakdown`; identical across engine tiers by
+    :func:`latency_breakdown`; identical across engines by
     construction.
     """
 

@@ -95,8 +95,9 @@ class NoIParams:
     #: sweeps, saturation ramps, sim crosschecks) pass through to
     #: :func:`repro.net.simulator.simulate_packets` -- one of
     #: ``repro.net.simulator.ENGINES``.  ``"auto"`` picks the fastest
-    #: available tier; pin ``"events"``/``"epochs"`` to force an oracle
-    #: run, e.g. as a sweep override when validating a new tier.
+    #: available engine; pin ``"events"`` to force an oracle run, e.g.
+    #: as a sweep override when validating a fast path.  ``"epochs"``
+    #: is open-loop only and raises with active ``fc_*`` knobs.
     sim_engine: str = "auto"
 
     #: Packet-simulator latency attribution: when truthy, experiment

@@ -1,6 +1,6 @@
 """Closed-loop flow control: params, engines, telemetry, deadlock.
 
-Tentpole coverage: the epoch-synchronous flow-control engine is pinned
+The closed-loop fast path (the ``epochs-jit`` grant kernel) is pinned
 bit-exactly to the event-heap oracle -- completions, latencies, FIFO
 tie-breaks and every ``LinkTelemetry`` counter -- across seeded
 finite-buffer load sweeps on mesh (SIAM), Kite, SWAP and Floret; with
@@ -123,7 +123,12 @@ class TestFlowControlParams:
 
 
 class TestEngineEquivalence:
-    """FC epoch engine bit-exact vs the FC heap oracle."""
+    """FC grant kernel bit-exact vs the FC heap oracle.
+
+    The kernel resolves every packet (``batch_uncontended=False``) while
+    the oracle keeps the contention-free fast path, so each case also
+    pins the fast-path split under finite buffers.
+    """
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -138,13 +143,13 @@ class TestEngineEquivalence:
         spec = parse_load_workload("uniform@0.08:w64+192")
         table = load_sweep_traffic(spec, topo.num_chiplets, seed)
         events = run_or_deadlock(topo, table, fc, "events")
-        epochs = run_or_deadlock(topo, table, fc, "epochs")
-        if isinstance(events, tuple) or isinstance(epochs, tuple):
-            assert events == epochs
+        jit = run_or_deadlock(topo, table, fc, "epochs-jit",
+                              batch_uncontended=False)
+        if isinstance(events, tuple) or isinstance(jit, tuple):
+            assert events == jit
             return
-        assert_fc_identical(events, epochs)
-        assert events.engine == "events" and epochs.engine == "epochs"
-        assert epochs.epochs > 0
+        assert_fc_identical(events, jit)
+        assert events.engine == "events" and jit.engine == "epochs-jit"
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     def test_hotspot_backpressure(self, fixture, request):
@@ -153,20 +158,21 @@ class TestEngineEquivalence:
         table = load_sweep_traffic(spec, topo.num_chiplets, 7)
         fc = FlowControlParams(buffer_flits=4, credit_rtt=1)
         events = run_or_deadlock(topo, table, fc, "events")
-        epochs = run_or_deadlock(topo, table, fc, "epochs")
-        if isinstance(events, tuple) or isinstance(epochs, tuple):
-            assert events == epochs
+        jit = run_or_deadlock(topo, table, fc, "epochs-jit",
+                              batch_uncontended=False)
+        if isinstance(events, tuple) or isinstance(jit, tuple):
+            assert events == jit
             return
-        assert_fc_identical(events, epochs)
+        assert_fc_identical(events, jit)
 
     def test_unbatched_matches_batched(self, small_mesh):
         spec = parse_load_workload("uniform@0.05:w32+96")
         table = load_sweep_traffic(spec, 36, 3)
         fc = FlowControlParams(buffer_flits=6, credit_rtt=2)
-        batched = simulate_packets(small_mesh, table, engine="epochs",
+        batched = simulate_packets(small_mesh, table, engine="events",
                                    flow_control=fc, telemetry=True)
         unbatched = simulate_packets(
-            small_mesh, table, engine="epochs", flow_control=fc,
+            small_mesh, table, engine="events", flow_control=fc,
             telemetry=True, batch_uncontended=False,
         )
         assert_fc_identical(batched, unbatched)
@@ -184,7 +190,7 @@ class TestEngineEquivalence:
         assert_fc_identical(
             simulate_packets(line, msgs, engine="events",
                              flow_control=fc, telemetry=True),
-            simulate_packets(line, msgs, engine="epochs",
+            simulate_packets(line, msgs, engine="epochs-jit",
                              flow_control=fc, telemetry=True),
         )
 
@@ -194,7 +200,7 @@ class TestEngineEquivalence:
         fc = FlowControlParams(buffer_flits=4, credit_rtt=2)
         tables = small_kite.routing_tables()
         traces = []
-        for engine in ("events", "epochs"):
+        for engine in ("events", "epochs-jit"):
             sim = simulate_packets(small_kite, table, engine=engine,
                                    flow_control=fc, telemetry=True)
             assert sim.telemetry is not None
@@ -236,7 +242,7 @@ class TestOpenLoopCompatibility:
         spec = parse_load_workload("uniform@0.08:w32+96")
         table = load_sweep_traffic(spec, 36, 2)
         sim = simulate_packets(
-            small_mesh, table, engine="epochs",
+            small_mesh, table, engine="events",
             flow_control=FlowControlParams(buffer_flits=10 ** 6),
             telemetry=True,
         )
@@ -262,7 +268,7 @@ class TestBackpressurePhysics:
         open_loop = simulate_packets(small_mesh, table, engine="epochs",
                                      flow_control=None)
         closed = simulate_packets(
-            small_mesh, table, engine="epochs",
+            small_mesh, table, engine="events",
             flow_control=FlowControlParams(buffer_flits=2, credit_rtt=2),
             telemetry=True,
         )
@@ -279,7 +285,7 @@ class TestBackpressurePhysics:
         msgs = [Message(1, 0, 64, inject_cycle=0, message_id=0),
                 Message(1, 2, 64, inject_cycle=0, message_id=1)]
         open_loop = simulate(line, msgs, flow_control=None)
-        for engine in ("events", "epochs"):
+        for engine in ("events", "epochs-jit"):
             gated = simulate(
                 line, msgs, engine=engine,
                 flow_control=FlowControlParams(source_queue=1),
@@ -346,7 +352,7 @@ class TestDeadlock:
     def test_both_engines_detect_same_deadlock(self, ring5):
         self._check_cyclic_routes(ring5)
         errors = []
-        for engine in ("events", "epochs"):
+        for engine in ("events", "epochs-jit"):
             with pytest.raises(FlowControlDeadlockError) as info:
                 simulate(ring5, self.FLOWS, engine=engine,
                          flow_control=self.FC)

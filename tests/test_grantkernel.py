@@ -1,13 +1,13 @@
-"""New engine tiers: component-parallel epochs and the JIT grant kernel.
+"""The JIT grant kernel: the fast path in both flow-control regimes.
 
-Tentpole coverage: ``engine="epochs-par"`` (disjoint contention
-components resolved independently, optionally on a thread pool) and
 ``engine="epochs-jit"`` (the flattened grant kernel, numba-compiled
-when available and interpreted otherwise) are pinned bit-exactly to the
-event-heap oracle and the epoch engine -- completions, latencies, FIFO
-tie-breaks and every ``LinkTelemetry`` counter -- open-loop and under
-closed-loop flow control, on mesh (SIAM), Kite, SWAP and Floret; both
-tiers detect the identical credit deadlock on the cyclic-route ring.
+when available and interpreted otherwise) is pinned bit-exactly to the
+event-heap oracles and the open-loop epoch engine -- completions,
+latencies, FIFO tie-breaks and every ``LinkTelemetry`` counter --
+open-loop and under closed-loop flow control, on mesh (SIAM), Kite,
+SWAP and Floret; it detects the identical credit deadlock on the
+cyclic-route ring; and ``engine="auto"`` prefers it exactly when numba
+is importable.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from repro.net.flowcontrol import (
     FlowControlParams,
 )
 from repro.net.grantkernel import NUMBA_AVAILABLE, warmup_kernels
-from repro.net.routing import contention_components
 from repro.net.simulator import Message, simulate, simulate_packets
 from repro.noi.topology import Chiplet, Link, Topology
 
 TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
                      "small_floret")
-
-NEW_TIERS = ("epochs-par", "epochs-jit")
 
 FC_CONFIGS = (
     None,
@@ -90,52 +87,54 @@ def assert_sims_identical(a, b):
 
 
 class TestTierEquivalence:
-    """Both new tiers bit-exact vs the heap oracle on seeded sweeps."""
+    """The kernel bit-exact vs the heap oracle on seeded sweeps."""
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("fc", FC_CONFIGS, ids=_fc_id)
     def test_random_load_sweep(self, fixture, seed, fc, request):
         # Tiny buffers legitimately deadlock the ring-bearing
-        # topologies; the deadlock report is then the result and every
-        # tier must agree on it.
+        # topologies; the deadlock report is then the result and both
+        # engines must agree on it.
         topo = _topology(request, fixture)
         spec = parse_load_workload("uniform@0.08:w64+192")
         table = load_sweep_traffic(spec, topo.num_chiplets, seed)
         oracle = run_or_deadlock(topo, table, fc, "events")
-        for tier in NEW_TIERS:
-            got = run_or_deadlock(topo, table, fc, tier)
-            if isinstance(oracle, tuple) or isinstance(got, tuple):
-                assert got == oracle, tier
-                continue
-            assert_sims_identical(oracle, got)
-            assert got.engine == tier
+        got = run_or_deadlock(topo, table, fc, "epochs-jit")
+        if isinstance(oracle, tuple) or isinstance(got, tuple):
+            assert got == oracle
+            return
+        assert_sims_identical(oracle, got)
+        assert got.engine == "epochs-jit"
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     def test_hotspot_matches_epoch_engine(self, fixture, request):
+        # Open loop against the epoch engine; closed loop, where the
+        # epoch engine does not run, against the flow-control heap.
         topo = _topology(request, fixture)
         spec = parse_load_workload("hotspot@0.12:w32+96")
         table = load_sweep_traffic(spec, topo.num_chiplets, 7)
-        fc = FlowControlParams(buffer_flits=4, credit_rtt=1)
-        epochs = run_or_deadlock(topo, table, fc, "epochs")
-        for tier in NEW_TIERS:
-            got = run_or_deadlock(topo, table, fc, tier)
-            if isinstance(epochs, tuple) or isinstance(got, tuple):
-                assert got == epochs, tier
+        for fc, reference in (
+            (None, "epochs"),
+            (FlowControlParams(buffer_flits=4, credit_rtt=1), "events"),
+        ):
+            expected = run_or_deadlock(topo, table, fc, reference)
+            got = run_or_deadlock(topo, table, fc, "epochs-jit")
+            if isinstance(expected, tuple) or isinstance(got, tuple):
+                assert got == expected
                 continue
-            assert_sims_identical(epochs, got)
+            assert_sims_identical(expected, got)
 
     def test_fifo_tie_break_parity(self, line):
         # Same route, same inject cycle: packetisation order must win
-        # on every tier, not just the heap.
+        # in the kernel, not just the heap.
         msgs = [Message(0, 3, 64, inject_cycle=4, message_id=i)
                 for i in range(6)]
         oracle = simulate(line, msgs, engine="events")
-        for tier in NEW_TIERS:
-            report = simulate(line, msgs, engine=tier)
-            assert report.message_completion == oracle.message_completion
-            completions = [report.message_completion[i] for i in range(6)]
-            assert completions == sorted(completions)
+        report = simulate(line, msgs, engine="epochs-jit")
+        assert report.message_completion == oracle.message_completion
+        completions = [report.message_completion[i] for i in range(6)]
+        assert completions == sorted(completions)
 
     def test_multi_packet_messages(self, line):
         rng = np.random.default_rng(7)
@@ -150,11 +149,10 @@ class TestTierEquivalence:
             for i in range(60)
         ]
         oracle = simulate(line, msgs, engine="events")
-        for tier in NEW_TIERS:
-            report = simulate(line, msgs, engine=tier)
-            assert report.message_completion == oracle.message_completion
-            assert report.makespan_cycles == oracle.makespan_cycles
-            assert report.mean_packet_latency == oracle.mean_packet_latency
+        report = simulate(line, msgs, engine="epochs-jit")
+        assert report.message_completion == oracle.message_completion
+        assert report.makespan_cycles == oracle.makespan_cycles
+        assert report.mean_packet_latency == oracle.mean_packet_latency
 
 
 class TestDeadlockParity:
@@ -166,7 +164,7 @@ class TestDeadlockParity:
 
     def test_all_tiers_detect_same_deadlock(self, ring5):
         errors = []
-        for engine in ("events", "epochs") + NEW_TIERS:
+        for engine in ("events", "epochs-jit"):
             with pytest.raises(FlowControlDeadlockError) as info:
                 simulate(ring5, self.FLOWS, engine=engine,
                          flow_control=self.FC)
@@ -176,58 +174,6 @@ class TestDeadlockParity:
         for error in errors[1:]:
             assert error.blocked == baseline.blocked
             assert error.links == baseline.links
-
-
-class TestContentionComponents:
-    def test_empty(self):
-        labels, count = contention_components(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-        )
-        assert labels.shape == (0,) and count == 0
-
-    def test_disjoint_links_separate_components(self):
-        # Packets 0-1 share link 4; packet 2 alone on link 9.
-        entry_links = np.array([4, 4, 9], dtype=np.int64)
-        pkt_of_entry = np.array([0, 1, 2], dtype=np.int64)
-        labels, count = contention_components(entry_links, pkt_of_entry, 3)
-        assert count == 2
-        assert labels[0] == labels[1] != labels[2]
-        # Labels are renumbered by first appearance.
-        assert labels.tolist() == [0, 0, 1]
-
-    def test_shared_link_merges_chains(self):
-        # 0-{1,2}, 1-{2,3}: link 2 bridges, one component; packet 2 on
-        # link 7 is its own.
-        entry_links = np.array([1, 2, 2, 3, 7], dtype=np.int64)
-        pkt_of_entry = np.array([0, 0, 1, 1, 2], dtype=np.int64)
-        labels, count = contention_components(entry_links, pkt_of_entry, 3)
-        assert count == 2
-        assert labels.tolist() == [0, 0, 1]
-
-    def test_source_coupling_merges_link_disjoint_packets(self):
-        # Link-disjoint packets from the same source must land in one
-        # component once source queues serialise injections.
-        entry_links = np.array([0, 5], dtype=np.int64)
-        pkt_of_entry = np.array([0, 1], dtype=np.int64)
-        free = contention_components(entry_links, pkt_of_entry, 2)
-        assert free[1] == 2
-        coupled = contention_components(
-            entry_links, pkt_of_entry, 2,
-            source_of_packet=np.array([3, 3], dtype=np.int64),
-        )
-        assert coupled[1] == 1
-        assert coupled[0].tolist() == [0, 0]
-
-    def test_report_counts_components(self, line):
-        # Two independent congested segments on the line: 0->1 traffic
-        # and 5->6 traffic never share a link.
-        msgs = [Message(0, 1, 64, message_id=i) for i in range(8)] + \
-               [Message(5, 6, 64, message_id=8 + i) for i in range(8)]
-        sim = simulate_packets(line, msgs, engine="epochs-par")
-        assert sim.components == 2
-        assert sim.report().components == 2
-        # The oracle leaves the field at zero.
-        assert simulate_packets(line, msgs, engine="events").components == 0
 
 
 class TestJitTierFallback:
@@ -244,7 +190,9 @@ class TestJitTierFallback:
     def test_warmup_reports_availability(self):
         assert warmup_kernels() is NUMBA_AVAILABLE
 
-    def test_auto_prefers_parallel_without_numba(self, line, monkeypatch):
+    def test_auto_prefers_epochs_without_numba(self, line, monkeypatch):
+        # Without numba the fast path is the epoch engine in open loop;
+        # closed loop has none, so auto stays on the heap oracle.
         from repro.net import grantkernel
         from repro.net import simulator
 
@@ -252,7 +200,12 @@ class TestJitTierFallback:
         monkeypatch.setattr(simulator, "_GRANTKERNEL", grantkernel)
         msgs = [Message(0, 1, 64, message_id=i) for i in range(100)]
         sim = simulate_packets(line, msgs, engine="auto")
-        assert sim.engine == "epochs-par"
+        assert sim.engine == "epochs"
+        closed = simulate_packets(
+            line, msgs, engine="auto",
+            flow_control=FlowControlParams(buffer_flits=4),
+        )
+        assert closed.engine == "events"
 
     def test_auto_prefers_jit_with_numba(self, line, monkeypatch):
         from repro.net import grantkernel

@@ -3,9 +3,9 @@
 Tentpole coverage: the per-packet decomposition (injection wait, queue
 wait, credit stall, serialization, pipeline) sums *exactly* to
 ``PacketSim.latency``; the aggregated :class:`LatencyBreakdown` is
-bit-identical across every engine tier (events / epochs / epochs-par /
-epochs-jit, plus the contention-free fast path) on mesh, Kite, SWAP and
-Floret in open and closed loop; a hand-computed 3-hop contended example
+bit-identical across every engine (events / epochs / epochs-jit, plus
+the contention-free fast path; ``epochs`` in open loop only) on mesh,
+Kite, SWAP and Floret in open and closed loop; a hand-computed 3-hop contended example
 pins the exact cycle splits; the ``sim_attribution`` knob ships the
 arrays through sweep results and their npz store payloads; and
 :func:`attribute_task` returns the same :class:`TaskPerf` as
@@ -41,7 +41,10 @@ from repro.pim.chiplet import ChipletSpec
 from helpers import make_toy_model
 from test_perf import assert_taskperf_equal
 
-ENGINES = ("events", "epochs", "epochs-par", "epochs-jit")
+ENGINES = ("events", "epochs", "epochs-jit")
+#: Engines that run under active flow control: the oracle and the
+#: grant kernel (the epoch engine is open-loop only).
+FC_ENGINES = ("events", "epochs-jit")
 TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
                      "small_floret")
 
@@ -171,7 +174,7 @@ class TestHandComputed:
 
 
 class TestEngineIdentity:
-    """Every tier reduces to the same breakdown, open and closed loop."""
+    """Every engine reduces to the same breakdown, open and closed loop."""
 
     @pytest.mark.parametrize("fc", FC_CONFIGS,
                              ids=("open-loop", "closed-loop"))
@@ -182,7 +185,7 @@ class TestEngineIdentity:
         table = load_sweep_traffic(spec, topo.num_chiplets, seed=0)
 
         reference = None
-        for engine in ENGINES:
+        for engine in ENGINES if fc is None else FC_ENGINES:
             sim = simulate_packets(topo, table, engine=engine,
                                    flow_control=fc, attribution=True)
             bd = latency_breakdown(sim, topo)

@@ -26,7 +26,9 @@ from repro.net.simulator import (
     simulate,
     simulate_packets,
 )
+from repro.noi.mesh import build_mesh
 from repro.noi.topology import Chiplet, Link, Topology
+from repro.params import NoIParams
 
 TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
                      "small_floret")
@@ -212,33 +214,53 @@ class TestEdgeCases:
         )
         assert report.engine == "events"
 
-    def test_auto_picks_jit_or_parallel_at_scale(self, small_mesh):
+    @pytest.mark.parametrize("regime", ["open-loop", "closed-loop"])
+    def test_auto_picks_jit_or_epochs_at_scale(self, small_mesh, regime):
+        # Closed loop: siam-100 with 8-flit buffers at uniform 0.12,
+        # the heavy-backpressure case where an epoch engine once took
+        # 27x the heap's time.
         from repro.net.grantkernel import NUMBA_AVAILABLE
 
-        spec = parse_load_workload("uniform@0.2:w16+48")
-        table = load_sweep_traffic(spec, small_mesh.num_chiplets, 1)
-        sim = simulate_packets(small_mesh, table, engine="auto")
+        if regime == "open-loop":
+            topo = small_mesh
+            workload = "uniform@0.2:w16+48"
+            fallback = "epochs"
+        else:
+            topo = build_mesh(100, params=NoIParams(fc_buffer_flits=8,
+                                                    fc_credit_rtt=2))
+            workload = "uniform@0.12:w64+256"
+            fallback = "events"
+        spec = parse_load_workload(workload)
+        table = load_sweep_traffic(spec, topo.num_chiplets, 1)
+        sim = simulate_packets(topo, table, engine="auto")
         assert sim.contended_packets >= AUTO_EPOCH_MIN_PACKETS
-        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs-par"
-        assert sim.engine == expected
+        assert sim.engine == ("epochs-jit" if NUMBA_AVAILABLE else fallback)
+        oracle = simulate_packets(topo, table, engine="events")
+        assert np.array_equal(sim.completion, oracle.completion)
+        assert np.array_equal(sim.latency, oracle.latency)
+        if regime == "closed-loop":
+            with pytest.raises(ValueError, match="epochs-jit"):
+                simulate_packets(topo, table, engine="epochs")
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_packets(topo, table, engine="epochs-par")
 
     def test_auto_threshold_boundary(self, line):
         # Exactly AUTO_EPOCH_MIN_PACKETS contended packets flips auto
-        # from the heap to the scalable tiers; one fewer stays on the
-        # heap.  All identical single-packet messages over link (0, 1)
-        # so every packet is contended.
+        # from the heap to the fast path; one fewer stays on the heap.
+        # All identical single-packet messages over link (0, 1) so
+        # every packet is contended.
         from repro.net.grantkernel import NUMBA_AVAILABLE
 
         k = AUTO_EPOCH_MIN_PACKETS
         msgs = [Message(0, 1, 64, message_id=i) for i in range(k)]
         at = simulate_packets(line, msgs, engine="auto")
         assert at.contended_packets == k
-        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs-par"
+        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs"
         assert at.engine == expected
         below = simulate_packets(line, msgs[:-1], engine="auto")
         assert below.contended_packets == k - 1
         assert below.engine == "events"
-        # And the tier auto picked agrees bit-exactly with the heap.
+        # And the engine auto picked agrees bit-exactly with the heap.
         pinned = simulate_packets(line, msgs, engine="events")
         assert_engines_identical(at.report(), pinned.report())
 
@@ -255,7 +277,7 @@ class TestEdgeCases:
         rng = np.random.default_rng(13)
         msgs = _random_messages(8, rng, count=150)
         baseline = simulate(line, msgs, engine="events")
-        for engine in ("epochs", "epochs-par", "epochs-jit", "auto"):
+        for engine in ("epochs", "epochs-jit", "auto"):
             assert_engines_identical(
                 baseline, simulate(line, msgs, engine=engine)
             )
