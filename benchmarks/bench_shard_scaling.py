@@ -6,7 +6,7 @@ ways, all against ``python -m repro.eval.shard`` worker subprocesses
 sharing a store directory:
 
 1. **Single-host reference**: a one-process
-   :class:`~repro.eval.stream.StreamingSweepRunner` run whose
+   :meth:`~repro.eval.sweeps.SweepRunner.run_stream` whose
    aggregates are the pinned oracle.
 2. **1-worker vs 3-worker fleets**: per-worker ``DrainReport``\\ s must
    show *zero duplicate evaluations* (the per-worker evaluated-key
@@ -54,7 +54,7 @@ from repro.eval import (
     ResultStore,
     RunningPivot,
     RunningStats,
-    StreamingSweepRunner,
+    SweepRunner,
     append_ratio_history,
     format_table,
     load_ratio_history,
@@ -253,7 +253,7 @@ def _run(tmp):
 
     # 1. Single-host streaming reference (the pinned oracle).
     reference_aggs = _aggregators()
-    reference = StreamingSweepRunner(
+    reference = SweepRunner(
         evaluate_load_sweep_case, workers=1,
         store=ResultStore(tmp / "store-reference"),
     ).run_stream(cases, reference_aggs)

@@ -5,9 +5,11 @@ a :class:`DesignSpace` spans architecture, system size and discrete
 ``NoIParams`` knob values; :func:`dse_search` runs an NSGA-II-style
 multi-objective loop (reusing :mod:`repro.core.moo`'s dominance
 machinery) that proposes candidate :class:`~repro.eval.sweeps.SweepCase`
-genomes, evaluates each generation through the store-backed streaming
-runner, and returns the Pareto front over minimised objectives --
-latency, energy and EDP by default.
+genomes, evaluates each generation as one plain call -- a store-backed
+:meth:`SweepRunner.stream <repro.eval.sweeps.SweepRunner.stream>` on
+one host, :func:`~repro.eval.shard.drain_cases` across a sharded fleet
+-- and returns the Pareto front over minimised objectives: latency,
+energy and EDP by default.
 
 Two properties keep it honest:
 
@@ -46,8 +48,7 @@ from ..core.moo import (
     pareto_front_indices,
 )
 from ..obs.trace import resolve_tracer
-from .stream import StreamingSweepRunner
-from .sweeps import Overrides, SweepCase
+from .sweeps import Overrides, SweepCase, SweepRunner
 
 __all__ = [
     "DEFAULT_OBJECTIVES",
@@ -341,40 +342,6 @@ def reference_search(
     return tuple(front)
 
 
-def _drain_generation(
-    store, evaluate, cases, *, shard, lease_ttl_s, deadline_s, trace=None
-):
-    """Drain one generation's cases across the worker fleet.
-
-    Runs this worker's :func:`repro.eval.shard.drain_cases` share (own
-    shard slice first, then lease-claimed takeover of orphaned work),
-    then reads the whole generation back from the shared store --
-    the inter-worker barrier every generation's selection needs.
-
-    Returns ``(results, own_evaluations)`` with ``results`` aligned to
-    ``cases``: the stored :class:`~repro.eval.sweeps.SweepResult`, this
-    worker's own failure record (store contract: errors are never
-    cached), or ``None`` for a case no worker could complete.
-    """
-    from .shard import drain_cases
-    from .store import case_key, evaluator_fingerprint
-
-    report = drain_cases(
-        store, evaluate, cases,
-        shard=shard, lease_ttl_s=lease_ttl_s, deadline_s=deadline_s,
-        trace=trace,
-    )
-    local_failures = {r.case.case_id: r for r in report.failures}
-    fingerprint = evaluator_fingerprint(evaluate)
-    results = []
-    for case in cases:
-        result = store.get(case_key(case, fingerprint), case)
-        if result is None:
-            result = local_failures.get(case.case_id)
-        results.append(result)
-    return results, report.evaluated
-
-
 def dse_search(
     space: DesignSpace,
     evaluate,
@@ -395,7 +362,7 @@ def dse_search(
     """NSGA-II-style search for the Pareto-optimal designs of ``space``.
 
     Each generation's unevaluated genomes go through a store-backed
-    :class:`~repro.eval.stream.StreamingSweepRunner` batch (parallel
+    :class:`~repro.eval.sweeps.SweepRunner` stream (parallel
     across worker processes, cache-hot across searches); selection is
     binary tournament on (non-domination rank, crowding distance);
     variation is uniform crossover plus per-axis mutation.  When the
@@ -430,7 +397,7 @@ def dse_search(
         )
     rng = random.Random(seed)
     tracer = resolve_tracer(trace)
-    runner = StreamingSweepRunner(
+    runner = SweepRunner(
         evaluate, workers=workers, chunksize=chunksize, store=store,
         trace=trace,
     )
@@ -460,15 +427,28 @@ def dse_search(
             for g in fresh
         ]
         if shard is not None:
-            results, own_evaluations = _drain_generation(
+            from .shard import drain_cases
+
+            # Drain this worker's share, then read the whole generation
+            # back from the shared store -- the inter-worker barrier
+            # selection needs.  A case missing from the store is this
+            # worker's own failure (errors are never cached) or, if no
+            # record exists here either, one no worker could complete.
+            report = drain_cases(
                 store, evaluate, cases,
                 shard=shard, lease_ttl_s=lease_ttl_s,
                 deadline_s=sync_timeout_s, trace=trace,
             )
-            evaluations += own_evaluations
+            local_failures = {r.case.case_id: r for r in report.failures}
+            keys = runner.case_keys(cases)
+            results = [
+                store.get(key, case) or local_failures.get(case.case_id)
+                for key, case in zip(keys, cases)
+            ]
+            evaluations += report.evaluated
             store_hits += (
                 sum(1 for r in results if r is not None and r.ok)
-                - own_evaluations
+                - report.evaluated
             )
         else:
             results = list(runner.stream(cases))

@@ -29,11 +29,12 @@ worker mix.  Three cooperating pieces:
 
 * **Coordinator merge.**  :func:`merge_stream` replays the grid in
   submission order through a store-backed
-  :class:`~repro.eval.stream.StreamingSweepRunner`, so the
+  :meth:`SweepRunner.run_stream
+  <repro.eval.sweeps.SweepRunner.run_stream>`, so the
   :class:`~repro.eval.stream.StreamOutcome` aggregates
   (``RunningStats``/``RunningPivot``/``RunningGroups``) are
-  bit-identical to a single-host streaming run regardless of how many
-  workers produced the results or in what order they landed.
+  bit-identical to a single-host run regardless of how many workers
+  produced the results or in what order they landed.
   :func:`wait_for_cases` tails the store until a grid completes.
 
 ``python -m repro.eval.shard worker --store DIR --grid G --evaluator E
@@ -82,6 +83,7 @@ from .sweeps import (
     Overrides,
     SweepCase,
     SweepResult,
+    SweepRunner,
     _evaluate_one,
     sweep_grid,
 )
@@ -625,8 +627,8 @@ def merge_stream(
     """Reconstruct the single-host streaming outcome from the store.
 
     Replays ``cases`` in submission order through a store-backed
-    :class:`~repro.eval.stream.StreamingSweepRunner`, folding
-    ``aggregators`` exactly as a single-host ``run_stream`` would:
+    :class:`~repro.eval.sweeps.SweepRunner`, folding ``aggregators``
+    exactly as a single-host ``run_stream`` would:
     the emission order is the grid order regardless of which worker
     produced each result or when it landed, and JSON float round-trip
     is exact, so the resulting aggregates are *bit-identical* to a
@@ -638,13 +640,10 @@ def merge_stream(
     coordinator evaluate stragglers inline instead (single-process
     fallback when the worker fleet died).
     """
-    from .stream import StreamingSweepRunner
-
     cases = list(cases)
-    runner = StreamingSweepRunner(evaluate, workers=1, store=store)
+    runner = SweepRunner(evaluate, workers=1, store=store)
     if require_complete:
-        fingerprint = evaluator_fingerprint(evaluate)
-        keys = [case_key(c, fingerprint) for c in cases]
+        keys = runner.case_keys(cases)
         missing = store.missing(keys)
         if missing:
             outstanding = [
@@ -700,15 +699,41 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
+        """Parse a spec, rejecting shapes that would build a wrong grid.
+
+        Every axis must be a JSON list (a bare string would otherwise
+        iterate into one-letter values) and every override value a
+        scalar (a list value is unhashable once it reaches a case).
+        """
         data = json.loads(text)
+
+        def axis(name: str, default=None) -> tuple:
+            value = data.get(name, default)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(
+                    f"grid field {name!r} must be a JSON list, got {value!r}"
+                )
+            return tuple(value)
+
+        def override(pairs) -> Overrides:
+            over = tuple((str(name), value) for name, value in pairs)
+            for name, value in over:
+                if not isinstance(value, (int, float, str)):
+                    raise ValueError(
+                        f"grid field 'overrides': value of {name!r} must "
+                        f"be a scalar, got {value!r}"
+                    )
+            return over
+
+        if not isinstance(data, dict):
+            raise ValueError(f"grid spec must be a JSON object, got {data!r}")
         return cls(
-            archs=tuple(data["archs"]),
-            sizes=tuple(int(n) for n in data.get("sizes", (36,))),
-            workloads=tuple(data.get("workloads", ("uniform",))),
-            seeds=tuple(int(s) for s in data.get("seeds", (0,))),
+            archs=axis("archs"),
+            sizes=tuple(int(n) for n in axis("sizes", (36,))),
+            workloads=axis("workloads", ("uniform",)),
+            seeds=tuple(int(s) for s in axis("seeds", (0,))),
             overrides=tuple(
-                tuple((str(name), value) for name, value in over)
-                for over in data.get("overrides", ((),))
+                override(pairs) for pairs in axis("overrides", ((),))
             ),
             tag=str(data.get("tag", "")),
         )

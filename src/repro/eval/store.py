@@ -141,9 +141,8 @@ class StoreStats:
     puts: int = 0
     skipped_errors: int = 0
     #: Shard files actually opened and read by ``_refresh_shard`` --
-    #: the (mtime, size) guard keeps this flat across repeated queries
-    #: over a quiescent store, which is what lets a service answer hot
-    #: queries at memory speed.
+    #: the (mtime, size) guard keeps this flat across repeated lookups
+    #: over a quiescent store (coordinator tails, warm replays).
     shard_reads: int = 0
 
     @property
@@ -183,7 +182,7 @@ class ResultStore:
         #: ``(st_mtime_ns, st_size)`` of each shard at its last
         #: refresh: an unchanged signature means no appender has
         #: touched the file, so the refresh can return without opening
-        #: it -- repeated queries over a quiescent store do no read
+        #: it -- repeated lookups over a quiescent store do no read
         #: I/O beyond one ``stat`` per consulted shard.
         self._sig: Dict[str, Tuple[int, int]] = {}
 
@@ -324,10 +323,8 @@ class ResultStore:
 
         Counts a **miss** when absent; counts nothing when present,
         because the planner's later :meth:`get` at emission records the
-        hit.  This keeps ``stats`` consistent across the gather runner
-        (one ``get`` per case) and the streaming runner (``probe`` all,
-        ``get`` hits only): both report the same hit/miss totals for
-        the same sweep.
+        hit, so a sweep that probes every case and gets only the hits
+        reports the same hit/miss totals as one ``get`` per case.
         """
         if self._peek(key) is None:
             self.stats.misses += 1
@@ -369,17 +366,6 @@ class ResultStore:
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(key for key, _ in self._complete_items())
-
-    def iter_records(self) -> Iterator[Tuple[str, dict]]:
-        """All complete ``(key, record)`` pairs, payloads *not* loaded.
-
-        The record dicts are the raw JSONL lines (scalar metrics, case
-        axes, an ``arrays`` flag) -- what the query layer
-        (:mod:`repro.eval.queries`) filters and aggregates over without
-        paying npz I/O per candidate.  Treat the dicts as read-only.
-        Stats-neutral, like :meth:`iter_results`.
-        """
-        return iter(self._complete_items())
 
     def iter_results(self) -> Iterator[SweepResult]:
         """All stored results, cases reconstructed from the records.

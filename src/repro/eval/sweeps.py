@@ -1,12 +1,25 @@
-"""Parallel parameter-sweep runner over (topology x workload x params).
+"""Parameter-sweep runner over (topology x workload x params).
 
 The vectorized engine (:mod:`repro.net.vectorized`) makes one scenario
 cheap; this module makes *many* scenarios cheap by fanning a grid of
-:class:`SweepCase` descriptors across worker processes and aggregating
-the per-case metric dictionaries into a structured
-:class:`SweepOutcome`.  Benchmarks (``benchmarks/bench_fig*.py``,
-``benchmarks/bench_sweep_engine.py``) and future scaling work all drive
-their scenario fan-out through :class:`SweepRunner`.
+:class:`SweepCase` descriptors across worker processes.  One runner,
+:class:`SweepRunner`, executes every single-host grid:
+
+* :meth:`SweepRunner.stream` yields one :class:`SweepResult` per case in
+  submission order.  Cached cases replay from an attached
+  :class:`~repro.eval.store.ResultStore`; misses go inline or through a
+  process pool whose chunks retire under a bounded in-flight window and
+  a reorder buffer, so the emitted sequence is deterministic whatever
+  the worker scheduling -- which is what makes warm re-runs reproduce
+  cold-run aggregates bit-for-bit.  Fresh results are stored as they
+  are emitted, so an interrupted stream resumes where it stopped.
+* :meth:`SweepRunner.run` gathers the stream into a
+  :class:`SweepOutcome` with query helpers; :meth:`SweepRunner.run_stream`
+  folds it into the bounded-memory aggregators of
+  :mod:`repro.eval.stream` instead.
+
+Lease-claimed fleet execution is the one other executor
+(:func:`repro.eval.shard.drain_cases`).
 
 Design notes:
 
@@ -15,12 +28,13 @@ Design notes:
   them (the built-ins below cover communication sweeps, full mix
   schedules and structural topology censuses).
 * ``workers <= 1`` runs inline -- deterministic, dependency-free, and
-  what the unit tests use.  Pool construction failures (restricted
-  sandboxes without POSIX semaphores, for instance) degrade to the
-  inline path instead of erroring, so a sweep always completes.
+  what the unit tests use.  Known pool failures (restricted sandboxes
+  without POSIX semaphores, crashed workers, unpicklable evaluators)
+  degrade to inline evaluation mid-stream with a ``RuntimeWarning``,
+  so a sweep always completes.
 * Per-process caches (topology builders, routing tables) are warmed
-  lazily inside the workers; a chunked submission order keeps cases of
-  the same topology together to maximise cache reuse.
+  lazily inside the workers; chunked submission keeps cases of the
+  same topology together to maximise cache reuse.
 """
 
 from __future__ import annotations
@@ -29,15 +43,16 @@ import os
 import pickle
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -48,10 +63,11 @@ from typing import (
 import numpy as np
 
 from ..noi.topology import Topology
-from ..obs.clock import Stopwatch
+from ..obs.clock import Stopwatch, wall
 from ..obs.metrics import REGISTRY
 from ..obs.trace import default_tracer, resolve_tracer
 from ..params import NoIParams
+from .stream import StreamOutcome
 
 #: Environment knob: hard override of worker count for every runner.
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
@@ -239,8 +255,6 @@ def _record_case(result: SweepResult) -> SweepResult:
     REGISTRY.histogram("case_latency_s").observe(result.elapsed_s)
     tracer = default_tracer()
     if tracer.enabled:
-        from ..obs.clock import wall
-
         tracer.record_span(
             "evaluate_case",
             wall() - result.elapsed_s,
@@ -280,8 +294,77 @@ def _evaluate_one(
     ))
 
 
+def _evaluate_chunk(evaluate, chunk: List[SweepCase]) -> List[SweepResult]:
+    """Worker-side: evaluate one chunk of cases (amortises IPC)."""
+    return [_evaluate_one(evaluate, case) for case in chunk]
+
+
+class _OrderedPoolDrain:
+    """Iterator of chunk results in submission order, eagerly primed.
+
+    The first window of chunks is submitted at *construction* -- not on
+    first ``next`` -- so workers start evaluating while the consumer is
+    still replaying a store-hit prefix.  Chunks retire through
+    ``wait(FIRST_COMPLETED)`` (the ``as_completed`` primitive); a
+    reorder buffer restores submission order, and the window bounds
+    pending AND completed-but-unemitted chunks, so one slow head chunk
+    stalls submission instead of letting the buffer absorb the grid.
+
+    The owner must call :meth:`close` when done or abandoning the
+    iterator (cancels queued futures, releases the pool).
+    """
+
+    def __init__(self, evaluate, chunks: List[List[SweepCase]],
+                 workers: int, window: int) -> None:
+        self._evaluate = evaluate
+        self._chunks = chunks
+        self._window = window
+        self._pending: Dict[object, int] = {}
+        self._buffered: Dict[int, List[SweepResult]] = {}
+        self._next_submit = 0
+        self._next_emit = 0
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            self._submit_more()
+        except BaseException:
+            self.close()
+            raise
+
+    def _submit_more(self) -> None:
+        while (self._next_submit < len(self._chunks)
+               and len(self._pending) + len(self._buffered) < self._window):
+            future = self._pool.submit(
+                _evaluate_chunk, self._evaluate,
+                self._chunks[self._next_submit],
+            )
+            self._pending[future] = self._next_submit
+            self._next_submit += 1
+
+    def __iter__(self) -> "_OrderedPoolDrain":
+        return self
+
+    def __next__(self) -> List[SweepResult]:
+        if self._next_emit >= len(self._chunks):
+            raise StopIteration
+        while self._next_emit not in self._buffered:
+            done, _ = wait(self._pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                self._buffered[self._pending.pop(future)] = future.result()
+        out = self._buffered.pop(self._next_emit)
+        self._next_emit += 1
+        self._submit_more()
+        return out
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+
 class SweepRunner:
-    """Fan a list of :class:`SweepCase` over worker processes.
+    """Evaluate a list of :class:`SweepCase` inline or over worker processes.
+
+    :meth:`stream` is the executor; :meth:`run` gathers it into a
+    :class:`SweepOutcome` and :meth:`run_stream` folds it into bounded
+    aggregators.  Every path emits results in submission order.
 
     Args:
         evaluate: Module-level callable mapping a case to a metric dict
@@ -293,16 +376,20 @@ class SweepRunner:
             keep same-topology cases on one worker's warm caches.
         store: Optional :class:`~repro.eval.store.ResultStore`.  When
             set, cached cases are answered without dispatch and fresh
-            results are appended as they land, so a completed sweep
-            replays with zero evaluations.
+            results are appended as they are emitted, so a completed
+            (or interrupted) sweep replays with zero (or only the
+            missing) evaluations.
         shard: Optional :class:`~repro.eval.shard.ShardSpec`.  When
-            set, :meth:`run` silently restricts any grid to this
+            set, every run silently restricts any grid to this
             worker's deterministic slice of it -- the partition-only
             half of distributed execution, for fleets whose shards
             share a ``store`` directory.  Lease-based claiming and
             work stealing (crash recovery) live in
             :func:`repro.eval.shard.drain_cases`; a bare ``shard=``
             runner never evaluates outside its slice.
+        window: Maximum chunks in flight in the pool at once
+            (backpressure + reorder-buffer bound).  Default:
+            ``2 * workers``.
         trace: Optional tracing target -- a
             :class:`~repro.obs.trace.Tracer`, a trace directory path,
             or ``None`` to defer to the ``REPRO_TRACE`` environment
@@ -318,6 +405,7 @@ class SweepRunner:
         chunksize: int = 4,
         store=None,
         shard=None,
+        window: Optional[int] = None,
         trace=None,
     ) -> None:
         self.evaluate = evaluate
@@ -325,8 +413,13 @@ class SweepRunner:
         self.chunksize = max(1, chunksize)
         self.store = store
         self.shard = shard
+        self.window = window
         self.trace = trace
         self._trace_tracer = None
+        #: Workers the most recent stream actually used (1 after
+        #: inline degradation) and the cases it replayed from the store.
+        self.last_workers = 1
+        self.last_store_hits = 0
         if shard is not None and store is None:
             raise ValueError(
                 "shard= without store= would evaluate a slice and "
@@ -348,11 +441,6 @@ class SweepRunner:
             self._trace_tracer = resolve_tracer(self.trace)
         return self._trace_tracer
 
-    def _shard_slice(self, cases: List[SweepCase]) -> List[SweepCase]:
-        if self.shard is None:
-            return cases
-        return [c for c in cases if self.shard.owns(c)]
-
     def case_keys(self, cases: Sequence[SweepCase]) -> List[str]:
         """Store keys of ``cases`` under this runner's evaluator."""
         from .store import case_key, evaluator_fingerprint
@@ -363,86 +451,220 @@ class SweepRunner:
     def _resolve_workers(self, num_cases: int) -> int:
         env = os.environ.get(WORKERS_ENV)
         if env is not None:
-            return max(1, int(env))
+            try:
+                return max(1, int(env))
+            except ValueError:
+                raise ValueError(
+                    f"{WORKERS_ENV}={env!r} is not an integer worker count"
+                ) from None
         if self.workers is not None:
             return max(1, self.workers)
         return max(1, min(os.cpu_count() or 1, num_cases))
 
-    def run(self, cases: Iterable[SweepCase]) -> SweepOutcome:
-        cases = self._shard_slice(list(cases))
+    # -- the stream itself -------------------------------------------------
+
+    def stream(self, cases: Iterable[SweepCase]) -> Iterator[SweepResult]:
+        """Yield one :class:`SweepResult` per case, in submission order.
+
+        Store-cached cases are emitted without touching the pool; fresh
+        results are appended to the store the moment they are emitted,
+        so abandoning this generator mid-flight leaves a resumable
+        checkpoint: a later call with the same store re-evaluates only
+        the cases that never completed.
+        """
+        cases = list(cases)
+        if self.shard is not None:
+            cases = [c for c in cases if self.shard.owns(c)]
         tracer = self._tracer()
-        watch = Stopwatch()
-        with tracer.span("sweep_run", cases=len(cases)) as sweep_span:
-            results: List[Optional[SweepResult]] = [None] * len(cases)
-            keys: Optional[List[str]] = None
-            pending: List[int] = list(range(len(cases)))
-            if self.store is not None:
-                keys = self.case_keys(cases)
-                pending = []
-                for i, case in enumerate(cases):
+        keys: Optional[List[str]] = None
+        hit_indices: set = set()
+        if self.store is not None:
+            keys = self.case_keys(cases)
+            # Membership probes only (misses counted, payloads not
+            # loaded): hits are loaded lazily at emission so a warm
+            # replay of a huge grid never materialises all payloads at
+            # once.
+            hit_indices = {
+                i for i in range(len(cases)) if self.store.probe(keys[i])
+            }
+        self.last_store_hits = len(hit_indices)
+        miss_indices = [i for i in range(len(cases))
+                        if i not in hit_indices]
+        workers = self._resolve_workers(len(miss_indices))
+        self.last_workers = workers if len(miss_indices) > 1 else 1
+        # Built (and pool-primed) eagerly: workers start on the misses
+        # while the cached prefix below replays.
+        fresh, close_fresh = self._evaluate_stream(
+            [cases[i] for i in miss_indices], workers
+        )
+        try:
+            for i, case in enumerate(cases):
+                if i in hit_indices:
+                    replay = Stopwatch()
                     hit = self.store.get(keys[i], case)
-                    if hit is not None:
-                        results[i] = hit
+                    if hit is None:
+                        # Payload vanished between probe and emission
+                        # (a concurrent cleanup, a lost npz): evaluate
+                        # inline rather than dropping the case.
+                        hit = _evaluate_one(self.evaluate, case)
+                        self.store.put(keys[i], hit)
+                        self.last_store_hits -= 1
                     else:
-                        pending.append(i)
-            store_hits = len(cases) - len(pending)
-            if store_hits:
-                REGISTRY.counter("cases_cached").inc(store_hits)
-            workers = self._resolve_workers(len(pending))
-            evaluated: Optional[List[SweepResult]] = None
-            pending_cases = [cases[i] for i in pending]
-            if workers > 1 and len(pending) > 1:
-                evaluated = self._run_pool(pending_cases, workers)
-            if evaluated is None:
-                workers = 1
-                evaluated = [_evaluate_one(self.evaluate, c)
-                             for c in pending_cases]
-            for i, result in zip(pending, evaluated):
-                results[i] = result
+                        REGISTRY.counter("cases_cached").inc()
+                        if tracer.enabled:
+                            tracer.record_span(
+                                "replay_case",
+                                wall() - replay.elapsed_s,
+                                replay.elapsed_s,
+                                case=case.case_id,
+                            )
+                    yield hit
+                    continue
+                result = next(fresh)
                 if self.store is not None and keys is not None:
                     self.store.put(keys[i], result)
-            sweep_span.add(
-                store_hits=store_hits,
-                evaluated=len(pending),
-                workers=workers,
+                yield result
+        finally:
+            # Runs on abandonment too (GeneratorExit): queued futures
+            # are cancelled even if no miss was ever consumed.
+            close_fresh()
+            tracer.flush()
+
+    def run(self, cases: Iterable[SweepCase]) -> SweepOutcome:
+        """Gather the whole :meth:`stream` into a :class:`SweepOutcome`."""
+        tracer = self._tracer()
+        watch = Stopwatch()
+        with tracer.span("sweep_run") as span:
+            results = tuple(self.stream(cases))
+            span.add(
+                cases=len(results),
+                store_hits=self.last_store_hits,
+                evaluated=len(results) - self.last_store_hits,
+                workers=self.last_workers,
             )
         tracer.flush()
         return SweepOutcome(
-            results=tuple(r for r in results if r is not None),
+            results=results,
             elapsed_s=watch.elapsed_s,
-            workers=workers,
-            store_hits=store_hits,
+            workers=self.last_workers,
+            store_hits=self.last_store_hits,
         )
 
-    def _run_pool(
-        self, cases: List[SweepCase], workers: int
-    ) -> Optional[List[SweepResult]]:
-        """Pool execution; ``None`` signals fall-back to inline."""
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        partial(_evaluate_one, self.evaluate),
-                        cases,
-                        chunksize=self.chunksize,
-                    )
-                )
-        except Exception as exc:
-            # Known pool-level failures -- restricted sandboxes without
-            # /dev/shm semaphores, crashed workers, unpicklable
-            # evaluate -- degrade to inline so the sweep still
-            # completes, but loudly: silent serial re-runs read as an
-            # unexplained performance cliff.  Anything else (a bug in
-            # aggregation, KeyboardInterrupt) propagates.
-            if not is_pool_failure(exc):
-                raise
-            warnings.warn(
-                f"sweep process pool failed ({exc!r}); "
-                f"re-running {len(cases)} cases inline",
-                RuntimeWarning,
-                stacklevel=3,
+    def run_stream(
+        self,
+        cases: Iterable[SweepCase],
+        aggregators: Sequence[object] = (),
+    ) -> StreamOutcome:
+        """Consume the stream, folding each result into ``aggregators``.
+
+        Each aggregator only needs an ``update(result)`` method; the
+        built-ins in :mod:`repro.eval.stream` cover metric stats, pivot
+        tables and group counts.  Memory stays bounded by the
+        aggregator state -- no result list is retained.
+        """
+        tracer = self._tracer()
+        watch = Stopwatch()
+        total = 0
+        ok_count = 0
+        failures: List[SweepResult] = []
+        with tracer.span("stream_run") as span:
+            for result in self.stream(cases):
+                total += 1
+                if result.ok:
+                    ok_count += 1
+                else:
+                    failures.append(result)
+                for aggregator in aggregators:
+                    aggregator.update(result)
+            span.add(
+                total=total,
+                failures=len(failures),
+                store_hits=self.last_store_hits,
+                workers=self.last_workers,
             )
-            return None
+        tracer.flush()
+        return StreamOutcome(
+            total=total,
+            ok_count=ok_count,
+            failures=tuple(failures),
+            elapsed_s=watch.elapsed_s,
+            workers=self.last_workers,
+            store_hits=self.last_store_hits,
+            aggregators=tuple(aggregators),
+        )
+
+    # -- evaluation paths --------------------------------------------------
+
+    def _inline(self, cases: List[SweepCase]) -> Iterator[SweepResult]:
+        return (_evaluate_one(self.evaluate, case) for case in cases)
+
+    def _evaluate_stream(
+        self, cases: List[SweepCase], workers: int
+    ) -> Tuple[Iterator[SweepResult], Callable[[], None]]:
+        """Per-case result iterator plus its cleanup callable.
+
+        Not a generator itself: pool construction and the first window
+        of submissions happen HERE, at call time, so callers that emit
+        a store-hit prefix before consuming a miss still overlap replay
+        with evaluation.  The cleanup must be invoked by the caller
+        (also on abandonment) -- closing an unstarted generator would
+        never reach a ``finally`` inside it.
+        """
+        if workers <= 1 or len(cases) <= 1:
+            return self._inline(cases), lambda: None
+        chunks = [
+            cases[i: i + self.chunksize]
+            for i in range(0, len(cases), self.chunksize)
+        ]
+        window = self.window if self.window is not None else 2 * workers
+        try:
+            drain = _OrderedPoolDrain(self.evaluate, chunks, workers,
+                                      max(1, window))
+        except Exception as exc:
+            self._degrade(exc, len(cases))
+            return self._inline(cases), lambda: None
+        return self._drain_results(drain, cases), drain.close
+
+    def _drain_results(
+        self, drain: _OrderedPoolDrain, cases: List[SweepCase]
+    ) -> Iterator[SweepResult]:
+        emitted = 0
+        try:
+            for chunk_results in drain:
+                for result in chunk_results:
+                    emitted += 1
+                    yield result
+        except Exception as exc:
+            # The stream picks up exactly where the pool stopped
+            # emitting (the reorder buffer guarantees `emitted` is a
+            # clean submission-order prefix).
+            self._degrade(exc, len(cases) - emitted)
+            drain.close()
+            yield from self._inline(cases[emitted:])
+
+    def _degrade(self, exc: Exception, remaining: int) -> None:
+        """Fall back to inline evaluation after a known pool failure.
+
+        Restricted sandboxes without ``/dev/shm`` semaphores, crashed
+        workers and unpicklable evaluators degrade so the sweep still
+        completes, but loudly: silent serial re-runs read as an
+        unexplained performance cliff.  Anything else (a bug in
+        aggregation, ``KeyboardInterrupt``) propagates.
+        """
+        if not is_pool_failure(exc):
+            raise exc
+        warnings.warn(
+            f"sweep process pool failed ({exc!r}); evaluating the "
+            f"remaining {remaining} cases inline",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        self.last_workers = 1
+
+
+#: Former name of the streaming runner, now :class:`SweepRunner` itself.
+#: Kept because the ``perfbench/`` harness still imports it.
+StreamingSweepRunner = SweepRunner
 
 
 # ---------------------------------------------------------------------------

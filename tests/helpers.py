@@ -25,3 +25,27 @@ def make_toy_model(name: str = "toy", blocks: int = 2) -> DNNModel:
     x = b.add_fc(x, 512, name="fc1")
     x = b.add_fc(x, 10, name="fc2")
     return DNNModel(name, "toy", b.build())
+
+
+#: The one warning a sweep pool failure raises before going inline.
+POOL_DEGRADE_WARNING = r"sweep process pool failed .*inline"
+
+
+def broken_pool(exc: BaseException) -> type:
+    """Stand-in for ``repro.eval.sweeps.ProcessPoolExecutor``.
+
+    Constructs fine, then raises ``exc`` on the first submission -- the
+    way a sandbox without semaphores or a crashed worker surfaces.
+    """
+
+    class BrokenPool:
+        def __init__(self, max_workers=None):
+            pass
+
+        def submit(self, *args, **kwargs):
+            raise exc
+
+        def shutdown(self, *args, **kwargs):
+            pass
+
+    return BrokenPool

@@ -15,7 +15,7 @@ import pytest
 from repro.eval.dse import design_space, dse_search
 from repro.eval.shard import LeaseBoard, drain_cases, wait_for_cases
 from repro.eval.store import ResultStore, case_key, evaluator_fingerprint
-from repro.eval.stream import RunningStats, StreamingSweepRunner
+from repro.eval.stream import RunningStats
 from repro.eval.sweeps import SweepCase, SweepRunner, sweep_grid
 from repro.net.simulator import Message, simulate
 from repro.noi.topology import Chiplet, Link, Topology
@@ -205,7 +205,7 @@ class TestSweepTracing:
 
     def test_stream_run_span(self, tmp_path):
         trace_dir = tmp_path / "traces"
-        runner = StreamingSweepRunner(_eval_ok, workers=1, trace=trace_dir)
+        runner = SweepRunner(_eval_ok, workers=1, trace=trace_dir)
         stats = RunningStats("value")
         outcome = runner.run_stream(_grid(), [stats])
         assert outcome.elapsed_s > 0.0
@@ -218,10 +218,10 @@ class TestSweepTracing:
         store = ResultStore(tmp_path / "store")
         trace_dir = tmp_path / "traces"
         cases = _grid()
-        StreamingSweepRunner(_eval_ok, workers=1, store=store).run_stream(
+        SweepRunner(_eval_ok, workers=1, store=store).run_stream(
             cases, []
         )
-        runner = StreamingSweepRunner(
+        runner = SweepRunner(
             _eval_ok, workers=1, store=store, trace=trace_dir
         )
         outcome = runner.run_stream(cases, [])

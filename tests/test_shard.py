@@ -21,7 +21,7 @@ from repro.eval.shard import (
     wait_for_cases,
 )
 from repro.eval.store import ResultStore, case_key, evaluator_fingerprint
-from repro.eval.stream import RunningPivot, RunningStats, StreamingSweepRunner
+from repro.eval.stream import RunningPivot, RunningStats
 from repro.eval.sweeps import SweepCase, SweepRunner, sweep_grid
 from repro.params import NoIParams
 
@@ -317,7 +317,7 @@ class TestMergeAndWait:
     def test_merge_is_bit_identical_to_single_host(self, tmp_path):
         cases = _grid(seeds=(0, 1, 2))
         ref_aggs = (RunningPivot("value"), RunningStats("value"))
-        ref = StreamingSweepRunner(
+        ref = SweepRunner(
             _eval_ok, workers=1, store=ResultStore(tmp_path / "ref")
         ).run_stream(cases, ref_aggs)
         assert not ref.failures
@@ -397,6 +397,18 @@ class TestGridSpec:
         assert grid.sizes == (36,)
         assert grid.overrides == ((),)
 
+    def test_scalar_axis_is_rejected(self):
+        # A bare string would iterate into one-letter architectures.
+        with pytest.raises(ValueError, match="'archs'"):
+            GridSpec.from_json('{"archs": "siam"}')
+
+    def test_list_override_value_is_rejected(self):
+        # A list value would only fail later, unhashable, in cases().
+        with pytest.raises(ValueError, match="'flit_bytes'"):
+            GridSpec.from_json(
+                '{"archs": ["siam"], "overrides": [[["flit_bytes", [16]]]]}'
+            )
+
 
 class TestRunnersWithShard:
     def test_sweep_runner_filters_to_slice(self, tmp_path):
@@ -413,7 +425,7 @@ class TestRunnersWithShard:
     def test_streaming_runner_filters_to_slice(self, tmp_path):
         cases = _grid(seeds=(0, 1, 2))
         spec = ShardSpec(1, 2)
-        runner = StreamingSweepRunner(
+        runner = SweepRunner(
             _eval_ok, workers=1, store=ResultStore(tmp_path), shard=spec,
         )
         emitted = [r.case for r in runner.stream(cases)]

@@ -404,7 +404,7 @@ class TestRefreshGuard:
         assert baseline >= 1
         for _ in range(25):
             assert not reader.missing(keys)
-            assert len(list(reader.iter_records())) == len(keys)
+            assert len(reader.keys()) == len(keys)
             assert len(reader) == len(keys)
         # Repeated queries over an unchanged store: pure dict work.
         assert reader.stats.shard_reads == baseline
@@ -467,22 +467,3 @@ class TestRefreshGuard:
         assert reader.has(k1)
         assert not reader.has(k2)
         assert len(reader) == 1
-
-    def test_iter_records_skips_payload_io(self, tmp_path):
-        from repro.eval.store import case_from_record
-
-        store = ResultStore(tmp_path)
-        case = SweepCase(arch="siam", num_chiplets=16, seed=3,
-                         tag="arrayful")
-        key = case_key(case, FP)
-        store.put(key, result_for(
-            case, arrays={"tiers": np.arange(4)},
-        ))
-        reader = ResultStore(tmp_path)
-        records = dict(reader.iter_records())
-        assert set(records) == {key}
-        assert records[key]["arrays"] is True
-        # No npz was opened: array loads count store hits; none here.
-        assert reader.stats.hits == 0
-        rebuilt = case_from_record(records[key])
-        assert rebuilt == case

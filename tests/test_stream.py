@@ -5,19 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.eval.sweeps as sweeps_mod
 from repro.eval.store import ResultStore
-from repro.eval.stream import (
-    RunningGroups,
-    RunningPivot,
-    RunningStats,
-    StreamingSweepRunner,
-)
+from repro.eval.stream import RunningGroups, RunningPivot, RunningStats
 from repro.eval.sweeps import (
     SweepCase,
     SweepRunner,
     evaluate_comm_case,
     sweep_grid,
 )
+
+from helpers import POOL_DEGRADE_WARNING, broken_pool
 
 
 def _boom_evaluate(case: SweepCase):
@@ -35,16 +33,16 @@ GRID = sweep_grid(
 class TestStreamOrderAndEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_submission_order_preserved(self, workers):
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=workers,
-                                      chunksize=2)
+        runner = SweepRunner(evaluate_comm_case, workers=workers,
+                             chunksize=2)
         streamed = list(runner.stream(GRID))
         assert [r.case for r in streamed] == list(GRID)
         assert all(r.ok for r in streamed)
 
     def test_stream_matches_gather_at_end(self):
         streamed = list(
-            StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                 chunksize=2).stream(GRID)
+            SweepRunner(evaluate_comm_case, workers=2,
+                        chunksize=2).stream(GRID)
         )
         gathered = SweepRunner(evaluate_comm_case, workers=1).run(GRID)
         for s, g in zip(streamed, gathered.results):
@@ -52,16 +50,21 @@ class TestStreamOrderAndEquivalence:
             assert s.metrics == g.metrics
 
     def test_small_window_still_correct(self):
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                      chunksize=1, window=1)
+        runner = SweepRunner(evaluate_comm_case, workers=2,
+                             chunksize=1, window=1)
         assert [r.case for r in runner.stream(GRID)] == list(GRID)
+
+    def test_streaming_runner_name_is_the_one_runner(self):
+        from repro.eval import StreamingSweepRunner
+
+        assert StreamingSweepRunner is SweepRunner
 
 
 class TestAggregators:
     def test_running_pivot_matches_outcome_pivot(self):
         outcome = SweepRunner(evaluate_comm_case, workers=1).run(GRID)
         pivot = RunningPivot("energy_pj")
-        out = StreamingSweepRunner(evaluate_comm_case, workers=1).run_stream(
+        out = SweepRunner(evaluate_comm_case, workers=1).run_stream(
             GRID, [pivot]
         )
         assert out.total == len(GRID) and not out.failures
@@ -78,7 +81,7 @@ class TestAggregators:
     def test_running_stats_matches_metric_array(self):
         outcome = SweepRunner(evaluate_comm_case, workers=1).run(GRID)
         stats = RunningStats("latency_cycles")
-        StreamingSweepRunner(evaluate_comm_case, workers=1).run_stream(
+        SweepRunner(evaluate_comm_case, workers=1).run_stream(
             GRID, [stats]
         )
         values = outcome.metric("latency_cycles")
@@ -92,7 +95,7 @@ class TestAggregators:
         groups = RunningGroups(lambda c: c.workload, metrics=("value",))
         cases = [SweepCase(arch="siam", num_chiplets=n, workload=w)
                  for w in ("a", "b") for n in (16, 36)]
-        StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+        SweepRunner(_boom_evaluate, workers=1).run_stream(
             cases, [groups]
         )
         assert groups.counts == {"a": 2, "b": 2}
@@ -102,7 +105,7 @@ class TestAggregators:
         cases = [SweepCase(arch="siam", num_chiplets=16),
                  SweepCase(arch="boom", num_chiplets=16)]
         stats = RunningStats("value")
-        out = StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+        out = SweepRunner(_boom_evaluate, workers=1).run_stream(
             cases, [stats]
         )
         assert out.ok_count == 1
@@ -116,11 +119,11 @@ class TestAggregators:
         # silently produce empty aggregates.
         cases = [SweepCase(arch="siam", num_chiplets=16)]
         with pytest.raises(KeyError):
-            StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+            SweepRunner(_boom_evaluate, workers=1).run_stream(
                 cases, [RunningStats("no_such_metric")]
             )
         with pytest.raises(KeyError, match="no_such_metric"):
-            StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+            SweepRunner(_boom_evaluate, workers=1).run_stream(
                 cases, [RunningPivot("no_such_metric")]
             )
 
@@ -140,16 +143,16 @@ class TestAggregators:
 class TestStoreBackedStreaming:
     def test_cold_then_warm_zero_evaluations(self, tmp_path):
         cold_store = ResultStore(tmp_path)
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                      chunksize=2, store=cold_store)
+        runner = SweepRunner(evaluate_comm_case, workers=2,
+                             chunksize=2, store=cold_store)
         cold_pivot = RunningPivot("energy_pj")
         cold = runner.run_stream(GRID, [cold_pivot])
         assert cold.store_hits == 0
         assert cold.evaluated == len(GRID)
 
         warm_store = ResultStore(tmp_path)
-        warm_runner = StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                           chunksize=2, store=warm_store)
+        warm_runner = SweepRunner(evaluate_comm_case, workers=2,
+                                  chunksize=2, store=warm_store)
         warm_pivot = RunningPivot("energy_pj")
         warm = warm_runner.run_stream(GRID, [warm_pivot])
         assert warm.store_hits == len(GRID)
@@ -161,8 +164,8 @@ class TestStoreBackedStreaming:
 
     def test_interrupted_stream_resumes_from_checkpoint(self, tmp_path):
         store = ResultStore(tmp_path)
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=1,
-                                      store=store)
+        runner = SweepRunner(evaluate_comm_case, workers=1,
+                             store=store)
         consumed = 0
         for _result in runner.stream(GRID):
             consumed += 1
@@ -171,7 +174,7 @@ class TestStoreBackedStreaming:
         assert len(ResultStore(tmp_path)) == 5
 
         resume_store = ResultStore(tmp_path)
-        resumed = StreamingSweepRunner(
+        resumed = SweepRunner(
             evaluate_comm_case, workers=1, store=resume_store
         ).run_stream(GRID)
         assert resumed.store_hits == 5
@@ -187,9 +190,9 @@ class TestStoreBackedStreaming:
         )
 
     def test_gather_runner_shares_the_same_store(self, tmp_path):
-        # A sweep checkpointed by the streaming runner warms the plain
-        # SweepRunner too (same keys, same store).
-        StreamingSweepRunner(
+        # A sweep checkpointed by run_stream() warms the gather fold
+        # run() too (same keys, same store).
+        SweepRunner(
             evaluate_comm_case, workers=1, store=ResultStore(tmp_path)
         ).run_stream(GRID)
         outcome = SweepRunner(
@@ -204,7 +207,7 @@ class TestStoreBackedStreaming:
     def test_errors_not_checkpointed(self, tmp_path):
         cases = [SweepCase(arch="siam", num_chiplets=16),
                  SweepCase(arch="boom", num_chiplets=16)]
-        StreamingSweepRunner(
+        SweepRunner(
             _boom_evaluate, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         assert len(ResultStore(tmp_path)) == 1  # only the success
@@ -215,7 +218,7 @@ class TestStoreBackedStreaming:
                     "field": np.ones((2, 2))}
 
         cases = [SweepCase(arch="siam", num_chiplets=n) for n in (16, 36)]
-        StreamingSweepRunner(
+        SweepRunner(
             _with_arrays, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         # Delete one npz payload after the membership scan would have
@@ -223,17 +226,25 @@ class TestStoreBackedStreaming:
         npz_files = sorted((tmp_path / "arrays").glob("*.npz"))
         npz_files[0].unlink()
         warm_store = ResultStore(tmp_path)
-        runner = StreamingSweepRunner(_with_arrays, workers=1,
-                                      store=warm_store)
+        runner = SweepRunner(_with_arrays, workers=1,
+                             store=warm_store)
         results = list(runner.stream(cases))
         assert [r.metrics["peak"] for r in results] == [16.0, 36.0]
         assert all(r.arrays is not None for r in results)
         assert runner.last_store_hits == 1  # the survivor
         # The store healed itself: next run is fully warm again.
-        healed = StreamingSweepRunner(
+        healed = SweepRunner(
             _with_arrays, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         assert healed.store_hits == 2
+        # The gather fold takes the same fallback.
+        sorted((tmp_path / "arrays").glob("*.npz"))[1].unlink()
+        gathered = SweepRunner(
+            _with_arrays, workers=1, store=ResultStore(tmp_path)
+        ).run(cases)
+        assert [r.metrics["peak"] for r in gathered.results] == [16.0, 36.0]
+        assert all(r.arrays is not None for r in gathered.results)
+        assert gathered.store_hits == 1
 
     def test_arrays_stream_through_the_store(self, tmp_path):
         def _with_arrays(case):
@@ -242,11 +253,11 @@ class TestStoreBackedStreaming:
 
         # Module-level pickling is irrelevant inline (workers=1).
         cases = [SweepCase(arch="siam", num_chiplets=n) for n in (16, 36)]
-        StreamingSweepRunner(
+        SweepRunner(
             _with_arrays, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         warm = list(
-            StreamingSweepRunner(
+            SweepRunner(
                 _with_arrays, workers=1, store=ResultStore(tmp_path)
             ).stream(cases)
         )
@@ -255,29 +266,12 @@ class TestStoreBackedStreaming:
 
 class TestDegradation:
     def test_pool_failure_degrades_inline_with_warning(self, monkeypatch):
-        import repro.eval.stream as stream_mod
         from concurrent.futures.process import BrokenProcessPool
 
-        class ExplodingPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("synthetic pool loss")
-
-            def shutdown(self, *args, **kwargs):
-                pass
-
-        monkeypatch.setattr(stream_mod, "ProcessPoolExecutor",
-                            ExplodingPool)
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=2)
-        with pytest.warns(RuntimeWarning, match="streaming sweep pool"):
+        monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor",
+                            broken_pool(BrokenProcessPool("synthetic")))
+        runner = SweepRunner(evaluate_comm_case, workers=2)
+        with pytest.warns(RuntimeWarning, match=POOL_DEGRADE_WARNING):
             results = list(runner.stream(GRID))
         assert [r.case for r in results] == list(GRID)
         assert all(r.ok for r in results)
@@ -287,12 +281,12 @@ class TestDegradation:
         # A genuine local lambda cannot ship to workers; CPython reports
         # that as AttributeError from the queue feeder, which must still
         # trigger the inline fallback (see sweeps.is_pool_failure).
-        runner = StreamingSweepRunner(
+        runner = SweepRunner(
             lambda case: {"value": float(case.num_chiplets)}, workers=2
         )
         cases = [SweepCase(arch="siam", num_chiplets=16, workload=w)
                  for w in ("uniform", "neighbor", "transpose")]
-        with pytest.warns(RuntimeWarning, match="streaming sweep pool"):
+        with pytest.warns(RuntimeWarning, match=POOL_DEGRADE_WARNING):
             results = list(runner.stream(cases))
         assert [r.metrics["value"] for r in results] == [16.0] * 3
         assert runner.last_workers == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.eval.sweeps as sweeps_mod
 from repro.eval.sweeps import (
     WORKERS_ENV,
     SweepCase,
@@ -18,6 +19,8 @@ from repro.eval.sweeps import (
     synthetic_traffic,
 )
 from repro.net.analytic import communication_cost
+
+from helpers import POOL_DEGRADE_WARNING, broken_pool
 
 
 def _boom_evaluate(case: SweepCase):
@@ -168,6 +171,12 @@ class TestWorkerOverride:
         runner = SweepRunner(evaluate_comm_case, workers=16)
         assert runner._resolve_workers(100) == 3
 
+    def test_env_garbage_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        runner = SweepRunner(evaluate_comm_case)
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV}='two'"):
+            runner._resolve_workers(10)
+
     def test_env_forces_inline(self, monkeypatch):
         # REPRO_SWEEP_WORKERS=1 turns any sweep into a deterministic,
         # pool-free run -- the documented debugging escape hatch.
@@ -193,22 +202,6 @@ class TestPoolDegradation:
     CASES = [SweepCase(arch="siam", num_chiplets=16, workload=w)
              for w in ("uniform", "neighbor", "transpose")]
 
-    def _broken_pool(self, exc):
-        class BrokenPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *args):
-                return False
-
-            def map(self, *args, **kwargs):
-                raise exc
-
-        return BrokenPool
-
     @pytest.mark.parametrize("exc", [
         __import__("concurrent.futures.process",
                    fromlist=["BrokenProcessPool"]).BrokenProcessPool(
@@ -217,12 +210,10 @@ class TestPoolDegradation:
         __import__("pickle").PicklingError("unpicklable evaluate"),
     ])
     def test_known_pool_failures_rerun_inline(self, monkeypatch, exc):
-        import repro.eval.sweeps as sweeps_mod
-
         monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor",
-                            self._broken_pool(exc))
+                            broken_pool(exc))
         runner = SweepRunner(evaluate_comm_case, workers=2)
-        with pytest.warns(RuntimeWarning, match="re-running.*inline"):
+        with pytest.warns(RuntimeWarning, match=POOL_DEGRADE_WARNING):
             outcome = runner.run(self.CASES)
         assert outcome.workers == 1
         assert not outcome.failures
@@ -231,12 +222,8 @@ class TestPoolDegradation:
             assert degraded.metrics == reference.metrics
 
     def test_unknown_pool_failures_propagate(self, monkeypatch):
-        import repro.eval.sweeps as sweeps_mod
-
-        monkeypatch.setattr(
-            sweeps_mod, "ProcessPoolExecutor",
-            self._broken_pool(KeyboardInterrupt()),
-        )
+        monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor",
+                            broken_pool(KeyboardInterrupt()))
         with pytest.raises(KeyboardInterrupt):
             SweepRunner(evaluate_comm_case, workers=2).run(self.CASES)
 
@@ -247,7 +234,7 @@ class TestPoolDegradation:
         runner = SweepRunner(
             lambda case: {"value": float(case.num_chiplets)}, workers=2
         )
-        with pytest.warns(RuntimeWarning, match="re-running.*inline"):
+        with pytest.warns(RuntimeWarning, match=POOL_DEGRADE_WARNING):
             outcome = runner.run(self.CASES)
         assert outcome.workers == 1
         assert [r.metrics["value"] for r in outcome.results] == [16.0] * 3
