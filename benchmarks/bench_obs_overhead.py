@@ -15,7 +15,7 @@ prices the enabled path honestly:
    >20% drift warning.
 
 2. **Enabled-tracer price list (informational).**  Per engine tier
-   (``events`` / ``epochs`` / ``epochs-par`` / ``epochs-jit``), the
+   (``events`` / ``epochs`` / ``epochs-jit``), the
    same contended packet grid is resolved with ``profile=False`` and
    ``profile=True`` (phase timings + dispatch counters); and one traced
    :func:`~repro.eval.shard.drain_cases` run is compared against an

@@ -52,6 +52,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .routing import concat_ranges
+
 __all__ = [
     "FlowControlDeadlockError",
     "FlowControlParams",
@@ -316,21 +318,24 @@ def link_telemetry(trace: GrantTrace, num_links: int,
 def _source_groups(inject, src, ids, queue: int):
     """Per-source packet order for the injection-queue gate.
 
-    Returns ``(initial, successor)``: the packets eligible at their
-    natural inject cycle (the first ``queue`` per source) and the map
-    ``packet -> packet released by its first-link grant`` (the packet
-    ``queue`` positions later in the same source's (inject, id) order).
+    Positions index ``ids``.  Returns ``(initial, successor)``: the
+    positions eligible at their natural inject cycle (the first
+    ``queue`` per source in (inject, id) order) and an ``int64`` array
+    mapping each position to the one released by its first-link grant
+    (``queue`` places later in the same source's order; -1 for none).
     """
-    by_src = {}
-    for i in sorted(ids.tolist(), key=lambda i: (int(inject[i]), i)):
-        by_src.setdefault(int(src[i]), []).append(i)
-    successor = {}
-    initial = []
-    for group in by_src.values():
-        initial.extend(group[:queue])
-        for pos, pkt in enumerate(group):
-            if pos + queue < len(group):
-                successor[pkt] = group[pos + queue]
+    m = int(ids.size)
+    order = np.lexsort((ids, inject[ids], src[ids]))
+    by_src = src[ids][order]
+    head = np.ones(m, dtype=bool)
+    head[1:] = by_src[1:] != by_src[:-1]
+    place = np.arange(m)
+    rank = place - np.maximum.accumulate(np.where(head, place, 0))
+    initial = order[rank < queue]
+    successor = np.full(m, -1, dtype=np.int64)
+    lead = place[:max(m - queue, 0)]
+    lead = lead[by_src[lead] == by_src[lead + queue]]
+    successor[order[lead]] = order[lead + queue]
     return initial, successor
 
 
@@ -354,89 +359,112 @@ def simulate_fc_events(
     keys are ``(cycle, kind, ...)`` with credit releases (kind 0)
     processed before requests (kind 1) on the same cycle, and request
     ties broken by global packet id -- the FIFO discipline both engines
-    implement.
+    implement.  ``contended_ids`` must be ascending (as ``np.nonzero``
+    returns them): requests are keyed by position in it.
+
+    The loop runs on Python lists and ints only (scalar NumPy indexing
+    costs several times more per event).  The contended packets' route
+    links are gathered once, so the set-up cost grows with their hops,
+    not with the all-pairs route table.
     """
-    route_links = tables.route_links
-    stage = tables.stage_cycles
-    link_u = tables.link_u
+    ids = contended_ids
+    m = int(ids.size)
     queue_index = tables.queue_index()
-    hop_delta = queue_index.hop_delta
     capacity = queue_index.buffer_capacity_flits(fc)
     rtt = int(fc.credit_rtt)
-    free = capacity.copy() if capacity is not None else None
+    num_links = int(tables.num_directed_links)
 
-    REL, REQ = 0, 1
-    events: List[Tuple[int, int, int, int]] = []
-    link_free = {}
-    queues = {}
-    rows: Optional[list] = [] if collect_trace else None
+    # Per-packet state, indexed by position in ``ids``.
+    counts = hops[ids]
+    p_inject = inject[ids].tolist()
+    p_flits = flits[ids].tolist()
+    p_hops = counts.tolist()
+    p_off = (np.cumsum(counts) - counts).tolist()
+    route = tables.route_links[concat_ranges(starts[ids], counts)].tolist()
+    comp = completion[ids].tolist()
+    lat = latencies[ids].tolist()
+    # Per-link state.
+    hop_delta = queue_index.hop_delta.tolist()
+    inject_stage = tables.stage_cycles[tables.link_u].tolist()
+    finite = capacity is not None
+    free = capacity.tolist() if finite else None
+    link_free = [0] * num_links
+    queues: List[Optional[deque]] = [None] * num_links
 
     if fc.source_queue is not None:
-        initial, successor = _source_groups(
-            inject, src, contended_ids, fc.source_queue
-        )
+        initial, successor = _source_groups(inject, src, ids,
+                                            fc.source_queue)
+        initial, successor = initial.tolist(), successor.tolist()
     else:
-        initial, successor = contended_ids.tolist(), {}
-    for i in initial:
-        heapq.heappush(events, (int(inject[i]), REQ, i, 0))
+        initial, successor = range(m), None
 
-    expected = int(contended_ids.size)
+    REL, REQ = 0, 1
+    events: List[Tuple[int, int, int, int]] = [
+        (p_inject[i], REQ, i, 0) for i in initial
+    ]
+    heapq.heapify(events)
+    push, pop = heapq.heappush, heapq.heappop
+    rows: Optional[list] = [] if collect_trace else None
+
     delivered = 0
-
-    def serve(edge: int, now: int) -> None:
-        queue = queues.get(edge)
+    while events:
+        now, kind, a, b = pop(events)
+        if kind == REL:
+            free[a] += b
+            edge = a
+            queue = queues[edge]
+        else:
+            pkt, hop = a, b
+            if hop >= p_hops[pkt]:
+                comp[pkt] = now
+                lat[pkt] = now - p_inject[pkt]
+                delivered += 1
+                if finite:
+                    last = route[p_off[pkt] + hop - 1]
+                    push(events, (now + rtt, REL, last, p_flits[pkt]))
+                continue
+            edge = route[p_off[pkt] + hop]
+            queue = queues[edge]
+            if queue is None:
+                queue = queues[edge] = deque()
+            queue.append((now + inject_stage[edge] if hop == 0 else now,
+                          pkt, hop))
+        # Grant the link's FIFO head(s) while its credits allow.
         while queue:
             ready, pkt, hop = queue[0]
-            f = int(flits[pkt])
-            if free is not None and free[edge] < f:
-                return
+            f = p_flits[pkt]
+            if finite and free[edge] < f:
+                break
             queue.popleft()
-            floor = max(ready, link_free.get(edge, 0))
-            start = max(floor, now)
-            if free is not None:
+            floor = link_free[edge]
+            if ready > floor:
+                floor = ready
+            start = floor if floor > now else now
+            if finite:
                 free[edge] -= f
             link_free[edge] = start + f
             if rows is not None:
                 rows.append((pkt, hop, edge, ready, start, f, start - floor))
-            arrival = start + f + int(hop_delta[edge])
-            heapq.heappush(events, (arrival, REQ, pkt, hop + 1))
-            if hop > 0 and free is not None:
-                prev = int(route_links[int(starts[pkt]) + hop - 1])
-                heapq.heappush(events, (start + rtt, REL, prev, f))
-            if hop == 0:
-                released = successor.pop(pkt, None)
-                if released is not None:
-                    heapq.heappush(events, (
-                        max(int(inject[released]), start + 1),
-                        REQ, released, 0,
-                    ))
+            push(events, (start + f + hop_delta[edge], REQ, pkt, hop + 1))
+            if hop:
+                if finite:
+                    prev = route[p_off[pkt] + hop - 1]
+                    push(events, (start + rtt, REL, prev, f))
+            elif successor is not None:
+                released = successor[pkt]
+                if released >= 0:
+                    t = p_inject[released]
+                    push(events, (t if t > start else start + 1,
+                                  REQ, released, 0))
 
-    while events:
-        now, kind, a, b = heapq.heappop(events)
-        if kind == REL:
-            free[a] += b
-            serve(a, now)
-            continue
-        pkt, hop = a, b
-        if hop >= int(hops[pkt]):
-            completion[pkt] = now
-            latencies[pkt] = now - int(inject[pkt])
-            delivered += 1
-            if free is not None:
-                last = int(route_links[int(starts[pkt]) + hop - 1])
-                heapq.heappush(events, (now + rtt, REL, last,
-                                        int(flits[pkt])))
-            continue
-        edge = int(route_links[int(starts[pkt]) + hop])
-        ready = now + (int(stage[link_u[edge]]) if hop == 0 else 0)
-        queues.setdefault(edge, deque()).append((ready, pkt, hop))
-        serve(edge, now)
-
-    if delivered < expected:
-        waiting = sorted(e for e, q in queues.items() if q)
-        raise FlowControlDeadlockError(fc, expected - delivered, waiting)
+    completion[ids] = comp
+    latencies[ids] = lat
+    if delivered < m:
+        waiting = [e for e, q in enumerate(queues) if q]
+        raise FlowControlDeadlockError(fc, m - delivered, waiting)
     if rows is None:
         return None
-    return _trace_from_chunks([tuple(np.array(col, dtype=np.int64)
-                                     for col in zip(*rows))]
-                              if rows else [])
+    if not rows:
+        return GrantTrace.empty()
+    packet, *cols = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    return GrantTrace(ids[packet], *cols)

@@ -398,18 +398,14 @@ def simulate_grant_kernel(
         capacity = queue_index.buffer_capacity_flits(fc)
         cap_arr = (capacity if capacity is not None
                    else np.empty(0, dtype=np.int64))
-        eligible = np.ones(m, dtype=np.bool_)
-        succ = np.full(m, -1, dtype=np.int64)
-        if fc.source_queue is not None:
-            initial, successor = _source_groups(
-                inject, src, ids, fc.source_queue
-            )
-            local = {int(g): i for i, g in enumerate(ids.tolist())}
-            eligible[:] = False
-            for g in initial:
-                eligible[local[g]] = True
-            for g, s in successor.items():
-                succ[local[g]] = local[s]
+        if fc.source_queue is None:
+            eligible = np.ones(m, dtype=np.bool_)
+            succ = np.full(m, -1, dtype=np.int64)
+        else:
+            initial, succ = _source_groups(inject, src, ids,
+                                           fc.source_queue)
+            eligible = np.zeros(m, dtype=np.bool_)
+            eligible[initial] = True
         waiting = np.zeros(num_links, dtype=np.bool_)
         delivered, rows = _fc_grant_kernel(
             p_inject, p_flits, p_start, p_hops, tables.route_links,

@@ -15,9 +15,14 @@ into engines that share one packetisation/report substrate
 * **closed-form fast path** -- packets whose routes share no directed
   link with any other packet cannot queue; one link-usage ``bincount``
   detects them and their completion times are array arithmetic.
-* **event-heap oracle** (``engine="events"``) -- the original per-event
-  Python heap.  Slow, obviously correct; every other engine is pinned
-  to it bit-exactly.
+* **event-heap oracles** (``engine="events"``) -- per-event Python
+  heaps, one per flow-control regime, that every other engine is
+  pinned to bit-exactly: ``_simulate_contended`` in open loop and
+  :func:`~repro.net.flowcontrol.simulate_fc_events` in closed loop.
+  The closed-loop heap is also ``auto``'s closed-loop path whenever
+  numba is absent, so its event loop runs on plain Python lists and
+  ints (2.3x the items/s of the NumPy-scalar loop it replaced on the
+  benchmark's ``closed_loop`` workload, 2-CPU host).
 * **epoch-synchronous vectorized engine** (``engine="epochs"``) -- all
   in-flight packets advance in lockstep array epochs.  Per-link FIFO
   queues are ``(link, ready-cycle, seq)`` arrays resolved per epoch

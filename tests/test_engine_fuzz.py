@@ -6,9 +6,11 @@ the flow-control heap with the ``epochs-jit`` grant kernel, and
 ``auto`` dispatches between them.  On random small mesh (SIAM), Kite,
 SWAP and Floret instances, random message tables and random
 flow-control knobs -- tiny buffers and source queues included -- every
-applicable engine must agree bit-exactly on completion, latency and
-every ``LinkTelemetry`` counter, or all must raise the same
-:class:`FlowControlDeadlockError`.
+applicable engine must agree bit-exactly on completion, latency, every
+``LinkTelemetry`` counter and every row of the raw grant trace, or all
+must raise the same :class:`FlowControlDeadlockError`.  The telemetry
+is an order-invariant sum that could hide offsetting per-grant errors;
+the sorted trace cannot.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.floret import build_floret
-from repro.net.flowcontrol import FlowControlDeadlockError, FlowControlParams
+from repro.net.flowcontrol import (
+    _TRACE_FIELDS,
+    FlowControlDeadlockError,
+    FlowControlParams,
+)
 from repro.net.simulator import simulate_packets
 from repro.noi.kite import build_kite
 from repro.noi.mesh import build_mesh
@@ -75,7 +81,8 @@ def cases(draw):
 def _run(topo, table, fc, batch, engine):
     try:
         return simulate_packets(topo, table, engine=engine, flow_control=fc,
-                                batch_uncontended=batch, telemetry=True)
+                                batch_uncontended=batch, telemetry=True,
+                                attribution=True)
     except FlowControlDeadlockError as error:
         return ("deadlock", error.blocked, error.links)
 
@@ -98,5 +105,9 @@ def test_engines_agree(case):
         a, b = got.telemetry, oracle.telemetry
         assert a.horizon_cycles == b.horizon_cycles, engine
         for field in TELEMETRY_FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field)), \
+                (engine, field)
+        a, b = got.trace.sorted(), oracle.trace.sorted()
+        for field in _TRACE_FIELDS:
             assert np.array_equal(getattr(a, field), getattr(b, field)), \
                 (engine, field)

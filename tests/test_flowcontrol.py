@@ -19,6 +19,7 @@ from repro.net.flowcontrol import (
     FlowControlDeadlockError,
     FlowControlParams,
     GrantTrace,
+    _source_groups,
     link_telemetry,
 )
 from repro.net.simulator import Message, simulate, simulate_packets
@@ -294,6 +295,31 @@ class TestBackpressurePhysics:
                     == open_loop.message_completion[0])
             assert (gated.message_completion[1]
                     > open_loop.message_completion[1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_source_groups_match_loop_reference(self, seed):
+        # The vectorised grouping against the per-packet sort it
+        # replaced: each source's packets in (inject, id) order, the
+        # first ``queue`` eligible, every other released by the packet
+        # ``queue`` places before it.
+        rng = np.random.default_rng(seed)
+        n = 200
+        inject = rng.integers(0, 12, n)
+        src = rng.integers(0, 9, n)
+        ids = np.sort(rng.choice(n, 150, replace=False))
+        for queue in (1, 2, 3, 200):
+            groups = {}
+            for i in sorted(ids.tolist(), key=lambda i: (inject[i], i)):
+                groups.setdefault(src[i], []).append(i)
+            initial = sorted(i for g in groups.values() for i in g[:queue])
+            successor = {g[k]: g[k + queue] for g in groups.values()
+                         for k in range(len(g) - queue)}
+            got_initial, got_successor = _source_groups(inject, src, ids,
+                                                        queue)
+            assert sorted(ids[got_initial].tolist()) == initial
+            assert {int(ids[k]): int(ids[v])
+                    for k, v in enumerate(got_successor)
+                    if v >= 0} == successor
 
     def test_large_source_queue_approximates_unbounded(self, small_mesh):
         # A source queue deep enough to never gate leaves the physics
